@@ -22,7 +22,7 @@ than the tolerance vs the recording.
 
 Three further legs ride along (recorded and gated the same way):
 
-* **overload** — heavy DES requests at several times the single-slot
+* **overload** — heavy requests at several times the single-slot
   capacity, with and without the admission controller.  Gate: with
   shedding on, accepted-request p99 stays within 3x the uncontended
   p99 (and some requests *were* shed, with a ``Retry-After``); with
@@ -330,19 +330,14 @@ def run_benchmark(quick: bool, tmp_cache: Path) -> dict:
 
 
 def _heavy(i: int, work_mttis: float) -> dict:
-    """A single-slot-hogging DES request (distinct per ``i``)."""
-    return {
-        "params": {"mtti": 600.0},
-        "work_mttis": work_mttis,
-        "engine": "des",
-        "seed": i,
-    }
+    """A single-slot-hogging ndp request (distinct per ``i``)."""
+    return {"params": {"mtti": 600.0}, "work_mttis": work_mttis, "seed": i}
 
 
 def overload_leg(quick: bool) -> dict:
     """Offered load >> capacity, with and without admission control.
 
-    One serving slot (``max_inflight=1``, ``max_batch=1``) and heavy DES
+    One serving slot (``max_inflight=1``, ``max_batch=1``) and heavy
     requests: with ``queue_budget`` set, excess offered load is shed
     (503 + Retry-After) and the *accepted* requests keep a tight p99;
     with shedding off, every request is accepted into an ever-deeper
@@ -352,7 +347,9 @@ def overload_leg(quick: bool) -> dict:
     # stays modest because the closed-loop clients share this process
     # (and its GIL) with the server — too many timing threads inflates
     # the measured accepted latency with scheduler noise, not queueing.
-    work_mttis = 100.0 if quick else 200.0
+    # The fast engine runs ndp at ~0.1 s per 100 MTTIs on a 2-vCPU Xeon
+    # VM, so a request costs ~25 ms (quick) or ~50 ms.
+    work_mttis = 25.0 if quick else 50.0
     n_offered = 18 if quick else 24
     n_clients = 6
 

@@ -11,10 +11,11 @@ serves it instead: a long-lived asyncio HTTP/JSON server
   configs (by :func:`~repro.simulation.pool.config_key`) attach to one
   computation; every waiter receives the same result.
 * **micro-batching** (:mod:`~repro.service.batcher`) — a bounded-delay
-  batcher drains the request queue and fuses compatible fast-engine
-  configs into single :func:`~repro.simulation.fastpath.simulate_batch`
-  passes (via the existing worker pool), preserving the per-config
-  bit-identical determinism contract.
+  batcher drains the request queue, resolves cache hits with one probe,
+  and fuses the misses into single
+  :func:`~repro.simulation.fastpath.simulate_batch` passes (via the
+  existing worker pool), preserving the per-config bit-identical
+  determinism contract.
 * **shared state** — one process-wide
   :class:`~repro.simulation.pool.ResultCache` and the memoized
   ``core.optimizer._MEMO`` across all requests, plus ``/metrics``

@@ -12,22 +12,22 @@ up; a drain task sleeps for a bounded ``window`` (the latency price of
 batching, default a few milliseconds), then drains up to ``max_batch``
 jobs and dispatches them to a thread-pool executor running the blocking
 batch runner (:func:`~repro.simulation.pool.run_simulations`, which
-fuses the fast-engine configs of each worker chunk into one
-``simulate_batch`` pass).  While a dispatch computes, new arrivals
-accumulate into the next batch — the same continuous-batching discipline
-VELOC's engine queue applies to checkpoint flushes.
+fuses the configs of each worker chunk into one ``simulate_batch``
+pass).  While a dispatch computes, new arrivals accumulate into the next
+batch — the same continuous-batching discipline VELOC's engine queue
+applies to checkpoint flushes.
 
-Two invariants the tests pin:
+The batcher owns the result cache on the service path: each dispatch
+hashes its jobs once, probes the cache with one ``get_many`` sweep,
+resolves the hits, runs only the misses, and writes them back with one
+``put_many`` in the same executor call.  The runner itself never sees
+the cache, so every row costs exactly one lookup.
 
-* **Determinism** — batch composition never changes results: every
-  config owns its seed's RNG streams, so a fused response is
-  bit-identical to a serial one.
-* **Engine isolation** — DES-engine jobs are dispatched in a *separate*
-  group from fast-engine jobs, and inside the pool a chunk's DES configs
-  run through the per-config :func:`~repro.simulation.simulator.simulate`
-  loop; a DES request therefore never rides a fast-engine fused batch.
+Determinism is the invariant the tests pin: batch composition never
+changes results — every config owns its seed's RNG streams, so a fused
+response is bit-identical to a serial one.
 
-Scheduling (PR 10): the queue is no longer FIFO.  Each drained window
+Scheduling: the queue is not FIFO.  Each drained window
 sorts by **earliest deadline first within priority class** (with aging,
 so a low-priority job waiting long enough eventually outranks fresh
 high-priority arrivals and can never starve), jobs whose deadline has
@@ -42,14 +42,15 @@ of a collapsing tail.
 from __future__ import annotations
 
 import asyncio
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..simulation.pool import ResultCache, split_cached
+from ..simulation.pool import ResultCache, config_key
 from ..simulation.simulator import SimConfig
 from ..simulation.stats import SimulationResult
 from . import timing as req_timing
@@ -79,10 +80,10 @@ class Overloaded(Exception):
         self.retry_after = retry_after
 
 _BATCHES = obs_metrics.REGISTRY.counter(
-    "service_batches_total", "fused simulation batches dispatched, by engine"
+    "service_batches_total", "fused simulation batches dispatched"
 )
 _BATCHED = obs_metrics.REGISTRY.counter(
-    "service_batched_requests_total", "simulate jobs dispatched inside batches, by engine"
+    "service_batched_requests_total", "simulate jobs dispatched inside batches"
 )
 _QUEUE_DEPTH = obs_metrics.REGISTRY.gauge(
     "service_queue_depth", "simulate jobs waiting for the next batch window"
@@ -92,7 +93,7 @@ _BATCH_SECONDS = obs_metrics.REGISTRY.histogram(
 )
 _CACHE_SLICED = obs_metrics.REGISTRY.counter(
     "service_batch_cache_hits_total",
-    "simulate jobs resolved from the result cache before dispatch, by engine",
+    "simulate jobs resolved from the result cache before dispatch",
 )
 _SHED = obs_metrics.REGISTRY.counter(
     "service_shed_total",
@@ -109,17 +110,16 @@ class BatchStats:
     """Aggregate batching counters (the benchmark's raw material)."""
 
     submitted: int = 0
-    batches: dict[str, int] = field(default_factory=lambda: {"fast": 0, "des": 0})
-    batched_jobs: dict[str, int] = field(default_factory=lambda: {"fast": 0, "des": 0})
+    batches: int = 0
+    batched_jobs: int = 0
     max_batch_seen: int = 0
     cache_hits: int = 0
     shed: int = 0
     expired: int = 0
 
-    def mean_batch_size(self, engine: str = "fast") -> float:
-        """Mean jobs per dispatched batch for ``engine`` (0.0 if none)."""
-        n = self.batches.get(engine, 0)
-        return self.batched_jobs.get(engine, 0) / n if n else 0.0
+    def mean_batch_size(self) -> float:
+        """Mean jobs per dispatched batch (0.0 if none)."""
+        return self.batched_jobs / self.batches if self.batches else 0.0
 
 
 @dataclass
@@ -162,9 +162,9 @@ class Batcher:
     ----------
     runner:
         Blocking ``configs -> results`` callable (order-preserving), run
-        on the executor.  The server passes a closure over
-        :func:`~repro.simulation.pool.run_simulations` with its shared
-        cache.
+        on the executor.  The server passes
+        :func:`~repro.simulation.pool.run_simulations` without a cache:
+        the batcher already probed and will write back every row.
     window:
         Bounded batching delay in seconds: the drain task sleeps this
         long after waking so concurrent arrivals can join the batch.
@@ -178,13 +178,9 @@ class Batcher:
         computes, the next accumulates — keep >= 2 so the queue never
         idles behind a running batch.
     cache:
-        Optional shared :class:`~repro.simulation.pool.ResultCache`.
-        When set, each drained batch is sliced against the cache *before*
-        engine dispatch (miss-only slicing): warm jobs resolve straight
-        from the cache and only the misses enter the fused
-        ``simulate_batch`` pass.  Results are unchanged — the runner's
-        pool performs the same lookup — but a partially warm batch no
-        longer drags its hits through full-width engine groups.
+        Optional shared :class:`~repro.simulation.pool.ResultCache`
+        that the batcher probes and writes back (see above); responses
+        are byte-identical with or without it.
     queue_budget:
         Admission-control budget in seconds, or ``None`` (default) for
         unbounded queueing.  When set, a submission is rejected with
@@ -232,6 +228,7 @@ class Batcher:
         #: first batch completes; admission never sheds blind).
         self._batch_ewma: float | None = None
         self._drainer: asyncio.Task | None = None
+        self._dispatches: set[asyncio.Task] = set()
         self._sem = asyncio.Semaphore(max_inflight)
         self._executor = ThreadPoolExecutor(
             max_workers=max_inflight, thread_name_prefix="repro-batch"
@@ -367,30 +364,26 @@ class Batcher:
             if not jobs:
                 self._sem.release()
                 continue
-            # Engine isolation: DES jobs never share a dispatch with the
-            # fast-engine fusion group.
-            fast = [j for j in jobs if j.config.engine == "fast"]
-            des = [j for j in jobs if j.config.engine != "fast"]
-            asyncio.get_running_loop().create_task(
-                self._dispatch_slot(fast, des)
-            )
+            task = asyncio.get_running_loop().create_task(self._dispatch(jobs))
+            self._dispatches.add(task)
+            task.add_done_callback(functools.partial(self._settle, jobs))
 
-    async def _dispatch_slot(self, fast: list[_Job], des: list[_Job]) -> None:
-        """Run one drained window's engine groups under one slot.
+    def _settle(self, jobs: list[_Job], task: asyncio.Task) -> None:
+        """Release a finished dispatch's slot and fail every job it left
+        unresolved (a runner or cache error, or cancellation at close),
+        so no waiter hangs on a dispatch that died."""
+        self._dispatches.discard(task)
+        self._sem.release()
+        exc = RuntimeError("batcher closed") if task.cancelled() else task.exception()
+        if exc is not None:
+            for job in jobs:
+                if not job.future.done():
+                    job.future.set_exception(exc)
 
-        Owns the dispatch slot the drain loop acquired; a mixed window's
-        two engine groups run sequentially under it (isolation is about
-        separate runner calls, not parallelism).
-        """
-        try:
-            for engine, group in (("fast", fast), ("des", des)):
-                if group:
-                    await self._dispatch(engine, group)
-        finally:
-            self._sem.release()
-
-    async def _dispatch(self, engine: str, jobs: list[_Job]) -> None:
+    async def _dispatch(self, jobs: list[_Job]) -> None:
+        """Answer one drained window: probe, compute the misses, write back."""
         loop = asyncio.get_running_loop()
+        cache = self.cache
         # Batch-window attribution: enqueue -> dispatch actually
         # starting (bounded delay + any wait behind max_inflight).
         t_start = loop.time()
@@ -399,40 +392,37 @@ class Batcher:
             if job.rec is not None:
                 job.rec["window"] = t_start - job.enqueued
             if traced and job.ctx is not None:
-                obs_trace.emit(
-                    "batcher", job.enqueued, t_start, "window",
-                    label=engine, ctx=job.ctx,
-                )
-        if self.cache is not None:
-            # Miss-only slicing: probe the cache off the event loop,
-            # resolve warm jobs immediately and dispatch only misses.
+                obs_trace.emit("batcher", job.enqueued, t_start, "window", ctx=job.ctx)
+        keys: list[str] = []
+        if cache is not None:
+            # Miss-only slicing: hash each job once and probe the cache
+            # off the event loop; the misses' keys are reused for the
+            # write-back after compute.
+            def _probe() -> tuple[list[str], dict[str, SimulationResult]]:
+                hashed = [config_key(j.config) for j in jobs]
+                return hashed, cache.get_many(hashed)
+
             tp0 = loop.time()
-            hits, pending, _ = await loop.run_in_executor(
-                self._executor,
-                split_cached,
-                [j.config for j in jobs],
-                self.cache,
-            )
+            keys, hits = await loop.run_in_executor(self._executor, _probe)
             tp1 = loop.time()
             for job in jobs:
                 if job.rec is not None:
                     job.rec["probe"] = tp1 - tp0
                 if traced and job.ctx is not None:
-                    obs_trace.emit(
-                        "batcher", tp0, tp1, "cache_probe",
-                        label=engine, ctx=job.ctx,
-                    )
-            n_hits = len(jobs) - len(pending)
-            if n_hits:
-                for job, hit in zip(jobs, hits):
-                    if hit is not None:
+                    obs_trace.emit("batcher", tp0, tp1, "cache_probe", ctx=job.ctx)
+            if hits:
+                misses = [i for i, key in enumerate(keys) if key not in hits]
+                for job, key in zip(jobs, keys):
+                    if key in hits:
                         if job.rec is not None:
                             job.rec["resolved"] = tp1
                         if not job.future.done():
-                            job.future.set_result(hit)
-                _CACHE_SLICED.inc(n_hits, engine=engine)
+                            job.future.set_result(hits[key])
+                n_hits = len(jobs) - len(misses)
+                _CACHE_SLICED.inc(n_hits)
                 self.stats.cache_hits += n_hits
-                jobs = [jobs[i] for i, _ in pending]
+                jobs = [jobs[i] for i in misses]
+                keys = [keys[i] for i in misses]
                 if not jobs:
                     # Fully warm batch: no compute span in any tree.
                     return
@@ -449,23 +439,27 @@ class Batcher:
         )
         compute_ctx: list[str | None] = [None]
 
+        def _compute() -> Sequence[SimulationResult]:
+            results = self._runner(configs)
+            if len(results) != len(configs):  # pragma: no cover - defensive
+                raise RuntimeError(
+                    f"runner returned {len(results)} results for {len(configs)} configs"
+                )
+            if cache is not None:
+                cache.put_many(zip(keys, results))
+            return results
+
         def _run() -> Sequence[SimulationResult]:
             if lead_ctx is None:
-                return self._runner(configs)
+                return _compute()
             with obs_trace.use_context(lead_ctx):
-                with obs_trace.span(
-                    "batcher", "compute", label=engine, jobs=len(configs)
-                ) as sp:
+                with obs_trace.span("batcher", "compute", jobs=len(configs)) as sp:
                     compute_ctx[0] = sp.ctx_id
-                    return self._runner(configs)
+                    return _compute()
 
         try:
+            # A runner failure propagates to _settle, which fans it out.
             results = await loop.run_in_executor(self._executor, _run)
-        except Exception as exc:  # runner failure fans out to all waiters
-            for job in jobs:
-                if not job.future.done():
-                    job.future.set_exception(exc)
-            return
         finally:
             t1 = loop.time()
             for job in jobs:
@@ -477,7 +471,7 @@ class Batcher:
                 for job in jobs:
                     if job.ctx is not None and job.ctx is not lead_ctx:
                         obs_trace.emit(
-                            "batcher", t0, t1, "compute", label=f"{engine}-shared",
+                            "batcher", t0, t1, "compute", label="shared",
                             attrs={"jobs": len(configs)},
                             ctx=job.ctx,
                             links=[shared] if shared else None,
@@ -490,22 +484,12 @@ class Batcher:
                 if self._batch_ewma is None
                 else 0.3 * (t1 - t0) + 0.7 * self._batch_ewma
             )
-            _BATCH_SECONDS.observe(t1 - t0, engine=engine)
-            _BATCHES.inc(engine=engine)
-            _BATCHED.inc(len(jobs), engine=engine)
-            self.stats.batches[engine] = self.stats.batches.get(engine, 0) + 1
-            self.stats.batched_jobs[engine] = (
-                self.stats.batched_jobs.get(engine, 0) + len(jobs)
-            )
+            _BATCH_SECONDS.observe(t1 - t0)
+            _BATCHES.inc()
+            _BATCHED.inc(len(jobs))
+            self.stats.batches += 1
+            self.stats.batched_jobs += len(jobs)
             self.stats.max_batch_seen = max(self.stats.max_batch_seen, len(jobs))
-        if len(results) != len(jobs):  # pragma: no cover - defensive
-            exc = RuntimeError(
-                f"runner returned {len(results)} results for {len(jobs)} configs"
-            )
-            for job in jobs:
-                if not job.future.done():
-                    job.future.set_exception(exc)
-            return
         for job, result in zip(jobs, results):
             if not job.future.done():
                 job.future.set_result(result)

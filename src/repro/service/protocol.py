@@ -10,6 +10,8 @@ out.  Two properties matter beyond ordinary parsing:
   raise :class:`ProtocolError` (the server maps it to HTTP 400).  The
   dataclasses' own ``__post_init__`` validation is reused rather than
   duplicated; their ``ValueError`` messages pass through verbatim.
+  ``engine`` is not a wire field: every request runs on the production
+  (``"fast"``) engine, and ``{"engine": ...}`` is an unknown key.
 * **Determinism** — :func:`canonical_dumps` renders every response with
   sorted keys, compact separators and ``repr``-exact floats, so a
   coalesced or batch-fused response is **byte-identical** to what a
@@ -69,10 +71,11 @@ _PARAM_FIELDS = {f.name for f in dataclasses.fields(CRParameters)}
 _COMPRESSION_FIELDS = {f.name for f in dataclasses.fields(CompressionSpec)}
 #: SimConfig fields a request may set directly (``params``/``compression``
 #: arrive as nested objects; ``trace`` is a live in-process object and can
-#: never cross the wire; ``work`` competes with ``work_mttis``).
+#: never cross the wire; ``engine`` is always the production engine;
+#: ``work`` competes with ``work_mttis``).
 _CONFIG_FIELDS = {
     f.name for f in dataclasses.fields(SimConfig)
-} - {"params", "compression", "trace"}
+} - {"params", "compression", "trace", "engine"}
 
 
 def _require_mapping(obj: Any, what: str) -> Mapping:
@@ -185,15 +188,12 @@ def compression_from_json(body: Any) -> CompressionSpec:
 def config_from_json(body: Any) -> SimConfig:
     """One simulate-request body -> a fully validated :class:`SimConfig`.
 
-    Recognized keys: every :class:`SimConfig` field except ``trace``
-    (``params`` and ``compression`` as nested objects / preset names),
-    plus ``work_mttis`` — a work target expressed in mean-times-to-
-    interrupt (mutually exclusive with ``work``; default 50 MTTIs, small
-    enough for interactive latency, large enough for a stable estimate).
-
-    The service default engine is ``"fast"`` — batching is the point —
-    but a client may pin ``"des"`` and is then guaranteed to never ride
-    a fused fast-engine batch.
+    Recognized keys: every :class:`SimConfig` field except ``trace`` and
+    ``engine`` (``params`` and ``compression`` as nested objects / preset
+    names), plus ``work_mttis`` — a work target expressed in mean-times-
+    to-interrupt (mutually exclusive with ``work``; default 50 MTTIs,
+    small enough for interactive latency, large enough for a stable
+    estimate).  The config always runs on the ``"fast"`` engine.
     """
     body = dict(_require_mapping(body, "request"))
     _reject_unknown(
@@ -210,14 +210,13 @@ def config_from_json(body: Any) -> SimConfig:
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"invalid work_mttis: {exc}") from exc
     body.setdefault("work", default_work(params, 50.0))
-    body.setdefault("engine", "fast")
     if body.get("failure_times") is not None:
         try:
             body["failure_times"] = tuple(float(t) for t in body["failure_times"])
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"invalid failure_times: {exc}") from exc
     try:
-        return SimConfig(params=params, compression=compression, **body)
+        return SimConfig(params=params, compression=compression, engine="fast", **body)
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid request: {exc}") from exc
 

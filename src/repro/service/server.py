@@ -8,7 +8,7 @@ would dominate at millisecond service times).
 Endpoints (see ``docs/SERVICE.md`` for the full schema):
 
 * ``POST /v1/simulate`` — one scenario; coalesced with identical
-  in-flight configs, micro-batched with compatible concurrent ones.
+  in-flight configs, micro-batched with concurrent ones.
 * ``POST /v1/sweep`` — a list of cells x a seed axis; every row rides
   the same coalescer/batcher, so concurrent sweeps fuse with each other
   and with single simulates.
@@ -17,6 +17,11 @@ Endpoints (see ``docs/SERVICE.md`` for the full schema):
 * ``GET /metrics`` — the process-global metrics registry in Prometheus
   text format; ``GET /healthz`` — liveness; ``GET /stats`` — service
   counters as JSON (what the benchmark reads).
+
+Every simulate row takes one path: protocol -> coalescer -> batcher
+(which probes the shared cache, dispatches the misses and writes them
+back) -> :func:`~repro.simulation.pool.run_simulations` with no cache ->
+``simulate_batch``.
 
 Shared state is the point: one :class:`~repro.simulation.pool.ResultCache`,
 one optimizer memo, one metrics registry across every client.
@@ -208,15 +213,13 @@ class ServiceServer:
     # -- the blocking batch runner (executor thread) -------------------------
 
     def _run_batch(self, configs: list[SimConfig]) -> Sequence[SimulationResult]:
-        """Run one fused batch through the pool runtime.
+        """Run one fused batch of cache misses through the pool runtime.
 
-        ``run_simulations`` sweeps the shared cache in one
-        :meth:`~repro.simulation.pool.ResultCache.get_many` pass, fuses
-        each chunk's fast-engine configs into a single
-        ``simulate_batch`` call, and stores new results with
-        :meth:`~repro.simulation.pool.ResultCache.put_many`.
+        ``run_simulations`` fuses each chunk's configs into a single
+        ``simulate_batch`` call.  It gets no cache: the batcher already
+        probed every row and writes the results back itself.
         """
-        return run_simulations(configs, jobs=self.config.jobs, cache=self.cache)
+        return run_simulations(configs, jobs=self.config.jobs)
 
     # -- request execution ----------------------------------------------------
 
@@ -393,9 +396,9 @@ class ServiceServer:
             },
             "batch": {
                 "submitted": stats.submitted,
-                "batches": dict(stats.batches),
-                "batched_jobs": dict(stats.batched_jobs),
-                "mean_fast_batch": stats.mean_batch_size("fast"),
+                "batches": {"fast": stats.batches},
+                "batched_jobs": {"fast": stats.batched_jobs},
+                "mean_fast_batch": stats.mean_batch_size(),
                 "max_batch_seen": stats.max_batch_seen,
                 "cache_hits": stats.cache_hits,
                 "queue_depth": self.batcher.queue_depth,

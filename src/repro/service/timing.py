@@ -12,10 +12,11 @@ A request's wall time decomposes into six stages:
     Queue time in the micro-batcher: enqueue until the dispatch actually
     starts (bounded-delay window + any wait behind ``max_inflight``).
 ``cache_probe``
-    The ``split_cached`` sweep against the shared result cache.
+    The batcher's one ``get_many`` sweep against the shared result cache.
 ``compute``
     The engine dispatch (``run_simulations`` / ``optimal_host``) for the
-    batch the request's critical-path job rode.
+    batch the request's critical-path job rode, including the batcher's
+    cache write-back.
 ``serialize``
     ``canonical_dumps`` of the response payload.
 

@@ -59,7 +59,6 @@ __all__ = [
     "parallel_map",
     "resolve_jobs",
     "run_simulations",
-    "split_cached",
 ]
 
 #: Bump to invalidate every cached result (simulator semantics change).
@@ -115,6 +114,10 @@ _RUNS = obs_metrics.REGISTRY.counter(
 )
 _CACHE_HITS = obs_metrics.REGISTRY.counter(
     "pool_cache_hits_total", "simulations served from the on-disk result cache"
+)
+_CACHE_PUT_ERRORS = obs_metrics.REGISTRY.counter(
+    "cache_put_errors_total",
+    "result-cache writes that failed with an OSError (entry skipped, result still returned)",
 )
 
 
@@ -222,13 +225,17 @@ class ResultCache:
     schema version — changing any scenario knob, the seed, or the
     simulator semantics (schema bump) misses the cache by construction.
 
-    Corrupt or unreadable entries are treated as misses, never errors.
+    Corrupt or unreadable entries are treated as misses, never errors,
+    and :meth:`put_many` skips (and counts) entries it cannot write: the
+    cache may lose an entry, never an answer.  The ``hits``/``misses``
+    counters are safe to bump from concurrent threads.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
+        self._lock = threading.Lock()
 
     @classmethod
     def default(cls) -> "ResultCache":
@@ -248,9 +255,11 @@ class ResultCache:
             data = json.loads(path.read_text())
             result = _result_from_dict(data)
         except (OSError, ValueError, TypeError, KeyError):
-            self.misses += 1
+            with self._lock:
+                self.misses += 1
             return None
-        self.hits += 1
+        with self._lock:
+            self.hits += 1
         return result
 
     #: Monotonic per-process tmp-name disambiguator (see :meth:`put`).
@@ -297,11 +306,17 @@ class ResultCache:
         """Store a batch of ``(key, result)`` pairs, one write per unique key.
 
         Later duplicates win (irrelevant in practice: equal keys imply
-        equal results by the determinism contract).
+        equal results by the determinism contract).  A write that fails
+        with an ``OSError`` (full disk, read-only root) is counted in
+        ``cache_put_errors_total`` and skipped: the caller already holds
+        the computed result, and a cache write must never fail it.
         """
         unique: dict[str, SimulationResult] = dict(items)
         for key, result in unique.items():
-            self.put(key, result)
+            try:
+                self.put(key, result)
+            except OSError:
+                _CACHE_PUT_ERRORS.inc()
 
 
 # -- observability ---------------------------------------------------------------
@@ -377,44 +392,6 @@ def _pool_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context("spawn")
 
 
-def split_cached(
-    configs: Sequence[SimConfig], cache: ResultCache | None
-) -> tuple[
-    list[SimulationResult | None],
-    list[tuple[int, SimConfig]],
-    list[str | None],
-]:
-    """Slice a batch against the result cache *before* engine dispatch.
-
-    Returns ``(results, pending, keys)``: a full-width result list with
-    every cache hit filled in (misses stay ``None``), the ``(index,
-    config)`` pairs that still need an engine, and each config's cache
-    key (``None`` for traced configs, which are never cached, and for
-    every entry when ``cache`` is ``None``).  One batched
-    :meth:`ResultCache.get_many` sweep performs all the I/O, so
-    duplicate configs cost one file open each.  Both the pool and the
-    service batcher use this to keep warm configs out of fused
-    ``simulate_batch`` passes — miss-only slicing never changes results,
-    only which rows an engine actually advances.
-    """
-    results: list[SimulationResult | None] = [None] * len(configs)
-    keys: list[str | None] = [None] * len(configs)
-    if cache is None:
-        return results, list(enumerate(configs)), keys
-    for i, cfg in enumerate(configs):
-        if cfg.trace is None:
-            keys[i] = config_key(cfg)
-    hits = cache.get_many(k for k in keys if k is not None)
-    pending: list[tuple[int, SimConfig]] = []
-    for i, cfg in enumerate(configs):
-        hit = hits.get(keys[i]) if keys[i] is not None else None
-        if hit is not None:
-            results[i] = hit
-        else:
-            pending.append((i, cfg))
-    return results, pending, keys
-
-
 def run_simulations(
     configs: Sequence[SimConfig],
     *,
@@ -456,8 +433,16 @@ def run_simulations(
         return ()
 
     # Serve what we can from the cache first (one batched get_many
-    # sweep); only the misses go anywhere near an engine.
-    results, pending, keys = split_cached(configs, cache)
+    # sweep, so duplicate configs cost one file open each); only the
+    # misses go anywhere near an engine.  Traced configs carry no key:
+    # they are never cached.
+    results: list[SimulationResult | None] = [None] * total
+    keys: list[str | None] = [None] * total
+    if cache is not None:
+        keys = [config_key(c) if c.trace is None else None for c in configs]
+        hits = cache.get_many(k for k in keys if k is not None)
+        results = [hits.get(k) for k in keys]  # type: ignore[arg-type]
+    pending = [(i, cfg) for i, cfg in enumerate(configs) if results[i] is None]
     if len(pending) < total:
         _CACHE_HITS.inc(total - len(pending))
         if progress is not None:

@@ -73,11 +73,8 @@ class TestSupervision:
     def test_sigterm_drains_in_flight_request(self):
         """Graceful drain: SIGTERM mid-request finishes the request
         (the worker stops accepting, completes in-flight work, exits)."""
-        heavy = {
-            "params": {"mtti": 600.0},
-            "work_mttis": 800,
-            "engine": "des",
-        }
+        # ~0.3 s of fast-engine work (ndp runs ~0.1 s per 100 MTTIs).
+        heavy = {"params": {"mtti": 600.0}, "work_mttis": 300}
         with WorkerSupervisor(ServiceConfig(port=0, jobs=1), procs=1) as sup:
             (pid,) = sup.worker_pids()
             result = {}
@@ -88,7 +85,7 @@ class TestSupervision:
 
             t = threading.Thread(target=fire)
             t.start()
-            time.sleep(0.08)  # let the request reach the worker (~0.25s job)
+            time.sleep(0.08)  # let the request reach the worker (~0.3 s job)
             os.kill(pid, signal.SIGTERM)
             t.join(timeout=30)
             assert not t.is_alive()

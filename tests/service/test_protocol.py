@@ -73,8 +73,9 @@ class TestConfig:
         with pytest.raises(ProtocolError, match="unknown request"):
             config_from_json({"trace": {}})
 
-    def test_engine_pinnable_to_des(self):
-        assert config_from_json({"engine": "des"}).engine == "des"
+    def test_engine_is_not_a_wire_field(self):
+        with pytest.raises(ProtocolError, match="unknown request"):
+            config_from_json({"engine": "des"})
 
     def test_simconfig_validation_surfaces(self):
         with pytest.raises(ProtocolError, match="strategy"):

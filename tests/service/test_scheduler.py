@@ -295,14 +295,8 @@ class TestHTTPMapping:
                 trace.disable()
 
     def test_shed_request_is_503_with_retry_after(self):
-        # DES requests heavy enough (~0.25 s) to hold the single
-        # dispatch slot while a sibling queues behind it.
-        heavy = {
-            "params": {"mtti": 600.0},
-            "strategy": "ndp",
-            "work_mttis": 800,
-            "engine": "des",
-        }
+        # Every batch holds the single dispatch slot for 0.25 s (a sleep
+        # around the real runner) while a sibling queues behind it.
         config = ServiceConfig(
             port=0,
             jobs=1,
@@ -312,12 +306,19 @@ class TestHTTPMapping:
             queue_budget=0.05,
         )
         with BackgroundServer(config) as srv:
+            real = srv.server.batcher._runner
+
+            def slow(configs):
+                time.sleep(0.25)
+                return real(configs)
+
+            srv.server.batcher._runner = slow
             with ServiceClient("127.0.0.1", srv.port) as c:
-                c.simulate(dict(heavy, seed=10))  # warm the EWMA (~0.25 s)
+                c.simulate(dict(BODY, seed=10))  # warm the EWMA (~0.25 s)
 
                 def fire(seed):
                     with ServiceClient("127.0.0.1", srv.port) as c2:
-                        return c2.post_raw("/v1/simulate", dict(heavy, seed=seed))
+                        return c2.post_raw("/v1/simulate", dict(BODY, seed=seed))
 
                 with ThreadPoolExecutor(max_workers=2) as pool:
                     futs = [pool.submit(fire, 11)]
@@ -325,7 +326,7 @@ class TestHTTPMapping:
                     futs.append(pool.submit(fire, 12))  # queued behind 11
                     time.sleep(0.05)
                     with pytest.raises(ServiceError) as exc:
-                        c.simulate(dict(heavy, seed=13))
+                        c.simulate(dict(BODY, seed=13))
                     assert exc.value.status == 503
                     assert exc.value.retry_after is not None
                     assert exc.value.retry_after >= 1.0

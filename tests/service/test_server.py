@@ -62,10 +62,6 @@ class TestByteIdentity:
     def test_simulate_matches_serial_exactly(self, client):
         assert client.post_raw("/v1/simulate", BODY) == expected_bytes(BODY)
 
-    def test_des_request_matches_serial_exactly(self, client):
-        body = dict(BODY, engine="des", seed=2)
-        assert client.post_raw("/v1/simulate", body) == expected_bytes(body)
-
     def test_concurrent_duplicates_all_byte_identical(self, server):
         """ISSUE acceptance: identical in-flight requests coalesce onto
         one computation and every waiter gets the exact serial bytes."""
@@ -158,6 +154,14 @@ class TestHttpEdges:
         assert err.value.status == 400
         assert "warp_factor" in err.value.message
 
+    def test_engine_key_400(self, client):
+        """The service runs only the production engine; pinning one is an
+        unknown key like any other."""
+        with pytest.raises(ServiceError) as err:
+            client.simulate(dict(BODY, engine="des"))
+        assert err.value.status == 400
+        assert "engine" in err.value.message
+
     def test_invalid_json_body_400(self, server):
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
         try:
@@ -224,3 +228,50 @@ class TestSharedCache:
                 stats = c.stats()
         assert got == want
         assert stats["batch"]["cache_hits"] >= 4  # the warm rows never dispatched
+
+
+class SpyCache(ResultCache):
+    def __init__(self, root):
+        super().__init__(root)
+        self.gets = self.puts = 0
+
+    def get(self, key):
+        self.gets += 1
+        return super().get(key)
+
+    def put(self, key, result):
+        self.puts += 1
+        super().put(key, result)
+
+
+class TestOnePath:
+    """Every row is probed once and written once, by the batcher alone."""
+
+    def test_sweep_rows_probe_and_write_once(self, tmp_path):
+        cells = [dict(BODY), dict(BODY, strategy="host", ratio=2)]
+        sweep = {"configs": cells, "seeds": [0, 1, 2]}
+        cache = SpyCache(tmp_path / "simcache")
+        runner_rows = []
+        with BackgroundServer(ServiceConfig(port=0, jobs=1, cache=cache)) as srv:
+            real = srv.server.batcher._runner
+            srv.server.batcher._runner = lambda cfgs: runner_rows.extend(cfgs) or real(cfgs)
+            with ServiceClient("127.0.0.1", srv.port) as c:
+                first = c.post_raw("/v1/sweep", sweep)
+                assert (cache.gets, cache.puts, len(runner_rows)) == (6, 6, 6)
+                assert c.stats()["cache"]["misses"] == 6  # one lookup a row
+                cache.gets = cache.puts = 0
+                runner_rows.clear()
+                assert c.post_raw("/v1/sweep", sweep) == first
+                assert (cache.gets, cache.puts, len(runner_rows)) == (6, 0, 0)
+
+    def test_unwritable_cache_still_answers_serial_bytes(self, tmp_path):
+        from repro.obs.metrics import REGISTRY
+
+        errors = REGISTRY.counter("cache_put_errors_total")
+        (tmp_path / "file").write_text("")  # every mkdir under it fails
+        before = errors.value()
+        config = ServiceConfig(port=0, jobs=1, cache=ResultCache(tmp_path / "file"))
+        with BackgroundServer(config) as srv:
+            with ServiceClient("127.0.0.1", srv.port) as c:
+                assert c.post_raw("/v1/simulate", BODY) == expected_bytes(BODY)
+        assert errors.value() - before == 1

@@ -122,21 +122,21 @@ class TestClientStream:
         """A cell that fails after the 200 head becomes a final error
         line; the client surfaces it as ServiceError.
 
-        The fast and DES cells batch into separate runner calls, so the
-        injected DES fault lands after the first row is already on the
-        wire."""
+        With ``max_batch=1`` each row is its own runner call, so the
+        fault injected into the second cell's row lands after the first
+        row is already on the wire."""
         sweep = {
             "configs": [
                 {"params": {"mtti": 600.0}, "work_mttis": 3},
-                {"params": {"mtti": 600.0}, "work_mttis": 3, "engine": "des"},
+                {"params": {"mtti": 900.0}, "work_mttis": 3},
             ],
             "seeds": [0],
         }
-        with BackgroundServer(ServiceConfig(port=0, jobs=1)) as srv:
+        with BackgroundServer(ServiceConfig(port=0, jobs=1, max_batch=1)) as srv:
             real = srv.server.batcher._runner
 
             def flaky(configs):
-                if any(c.engine == "des" for c in configs):
+                if any(c.params.mtti == 900.0 for c in configs):
                     raise RuntimeError("injected engine fault")
                 return real(configs)
 
@@ -164,28 +164,33 @@ class TestClientStream:
 class TestIncrementality:
     def test_first_row_lands_before_last_group_completes(self):
         """Time-to-first-row tracks the first cell group, not the grid:
-        with a slow DES cell last, the first (fast) cell's line must
-        arrive well before the response finishes."""
+        with a slow cell last, the first cell's line must arrive well
+        before the response finishes."""
         import time
 
         sweep = {
             "configs": [
                 {"params": {"mtti": 600.0}, "work_mttis": 3},
-                {
-                    "params": {"mtti": 600.0},
-                    "work_mttis": 800,
-                    "engine": "des",
-                },
+                {"params": {"mtti": 900.0}, "work_mttis": 3},
             ],
             "seeds": [0],
         }
-        with BackgroundServer(ServiceConfig(port=0, jobs=1)) as srv:
+        # One row per runner call; the second cell's call takes 0.25 s.
+        with BackgroundServer(ServiceConfig(port=0, jobs=1, max_batch=1)) as srv:
+            real = srv.server.batcher._runner
+
+            def slow_last(configs):
+                if any(c.params.mtti == 900.0 for c in configs):
+                    time.sleep(0.25)
+                return real(configs)
+
+            srv.server.batcher._runner = slow_last
             with ServiceClient("127.0.0.1", srv.port, timeout=120.0) as c:
                 t0 = time.monotonic()
                 stamps = []
                 for _ in c.sweep_stream(sweep):
                     stamps.append(time.monotonic() - t0)
         assert len(stamps) == 2
-        # The fast cell resolves in a few ms; the DES cell takes ~250 ms.
-        # First row must not have waited for the DES cell.
+        # The first cell resolves in a few ms; the second takes ~250 ms.
+        # First row must not have waited for the slow cell.
         assert stamps[0] < stamps[1] / 2

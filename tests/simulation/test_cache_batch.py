@@ -1,10 +1,14 @@
-"""Batched ResultCache lookups and the adaptive chunk cap."""
+"""Batched ResultCache lookups, cache robustness, and the adaptive chunk cap."""
 
+import errno
 import math
+import sys
+import threading
 
 import pytest
 
-from repro.simulation import SimConfig
+from repro.obs.metrics import REGISTRY
+from repro.simulation import SimConfig, simulate
 from repro.simulation.pool import (
     ResultCache,
     chunk_indices,
@@ -76,6 +80,52 @@ class TestBatchedCacheOps:
         assert again == first
         assert cache.put_calls == runs_before  # nothing re-executed
         assert cache.hits >= 4
+
+
+class FullDiskCache(ResultCache):
+    """Every write fails the way a full disk does."""
+
+    def put(self, key, result):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestCacheRobustness:
+    @pytest.mark.parametrize("unwritable", ["full-disk", "root-is-a-file"])
+    def test_failed_writes_never_fail_a_computed_answer(self, params, tmp_path, unwritable):
+        """A root that is a regular file fails every real mkdir with an
+        OSError, even for root (unlike a read-only directory)."""
+        errors = REGISTRY.counter("cache_put_errors_total")
+        (tmp_path / "file").write_text("")
+        full_disk = unwritable == "full-disk"
+        cache = FullDiskCache(tmp_path) if full_disk else ResultCache(tmp_path / "file")
+        batch = [cfg(params, seed=s) for s in range(3)]
+        before = errors.value()
+        assert run_simulations(batch, cache=cache) == tuple(simulate(c) for c in batch)
+        assert errors.value() - before == 3
+
+    def test_hit_miss_counters_are_thread_safe(self, params, tmp_path):
+        cache = ResultCache(tmp_path)
+        (result,) = run_simulations([cfg(params)])
+        keys = [f"{i:064x}" for i in range(8)]
+        for key in keys[:4]:
+            cache.put(key, result)  # 4 warm keys, 4 cold
+
+        def probe():
+            for _ in range(50):
+                cache.get_many(keys + keys)  # duplicates count once
+
+        threads = [threading.Thread(target=probe) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert (cache.hits, cache.misses) == (8 * 50 * 4, 8 * 50 * 4)
 
 
 class TestAdaptiveChunkCap:
