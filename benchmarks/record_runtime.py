@@ -1,17 +1,18 @@
 """Record the checkpoint data path's throughput to BENCH_runtime_throughput.json.
 
-Measures, back-to-back on the same payloads (this machine's timings are
-noisy, so the honest numbers are the *ratios* of interleaved runs):
+Measures, on the same payloads:
 
 * single-thread LZ4 compression — the reference-parse kernel
   (``lz4.compress_ref``, the pre-optimization scanner) vs the vectorized
   exact kernel (``lz4.compress``) and the dense-parse runtime kernel
-  (``lz4.compress_dense``), verifying byte-identity/round-trips,
+  (``lz4.compress_dense``), verifying byte-identity/round-trips.  Timings
+  here are noisy, so the kernel number is the *ratio* of interleaved runs,
 * ``zero_rle`` (vectorized) vs ``zero_rle_ref`` on a delta-like payload,
-* end-to-end NDP drain — the rank-at-a-time baseline (reference codec,
-  ``pipelined=False``) vs the pipelined data path (dense codec, bounded
-  frame queue) into a bandwidth-throttled I/O store, verifying that both
-  drains restore byte-identical state.
+* the NDP drain (dense codec, bounded frame queue) into a
+  bandwidth-throttled I/O store, as the fraction of the paper's drain-rate
+  bound ``min(io_bw / (1 - factor), compress_rate)`` it reaches, both
+  terms measured in the same run — verifying the drained checkpoint
+  restores byte-identical state.
 
 ::
 
@@ -20,10 +21,11 @@ noisy, so the honest numbers are the *ratios* of interleaved runs):
         -o /tmp/smoke.json                                            # smoke
     PYTHONPATH=src python benchmarks/record_runtime.py --check        # CI gate
 
-``--check`` re-measures and fails (exit 1) if either headline *speedup*
-(dense kernel, pipelined drain) fell below 80% of the recorded one —
-speedups compare two interleaved measurements, so the gate is robust to
-absolute machine-speed drift.
+Every run (record, ``--quick`` and ``--check``) fails (exit 1) when the
+dense lz4 speedup is below 2x or the drain reaches less than 0.4 of its
+bound.  ``--check`` also fails if either fell below 80% of the recorded
+value.  Both are ratios of measurements taken in the same run, so the
+gates hold across machines of different absolute speed.
 """
 
 from __future__ import annotations
@@ -40,13 +42,18 @@ from pathlib import Path
 import numpy as np
 
 from repro.compression import lz4
-from repro.compression.codecs import Codec, fast_lz4_codec
+from repro.compression.codecs import fast_lz4_codec
 from repro.compression.delta import zero_rle, zero_rle_ref
 from repro.ckpt.backends import IOStore, LocalStore
 from repro.ckpt.format import make_header
 from repro.ckpt.ndp_daemon import NDPDrainDaemon
 from repro.ckpt.restart import recover
 from repro.workloads import calibrated_app
+
+#: Hard floors checked on every run: the dense kernel's speedup over the
+#: reference scanner, and the drain's fraction of its drain-rate bound.
+DENSE_SPEEDUP_FLOOR = 2.0
+BOUND_FRACTION_FLOOR = 0.4
 
 APPS = ("CoMD", "HPCCG", "miniFE", "miniMD", "miniSMAC2D", "miniAero", "pHPCCG")
 QUICK_APPS = ("HPCCG", "miniMD")
@@ -149,7 +156,7 @@ def bench_zero_rle(payloads: dict[str, bytes]) -> dict:
     }
 
 
-def _drain_once(payloads: dict[int, bytes], root: Path, codec, pipelined: bool,
+def _drain_once(payloads: dict[int, bytes], root: Path, codec,
                 throttle_bps: float) -> tuple[float, dict[int, bytes], NDPDrainDaemon]:
     app_id = "bench"
     local = LocalStore(root / "local", capacity=4)
@@ -159,7 +166,7 @@ def _drain_once(payloads: dict[int, bytes], root: Path, codec, pipelined: bool,
         for rank, data in payloads.items()
     }
     local.write_checkpoint(app_id, 1, files)
-    daemon = NDPDrainDaemon(app_id, local, io, codec=codec, pipelined=pipelined)
+    daemon = NDPDrainDaemon(app_id, local, io, codec=codec)
     t0 = time.perf_counter()
     daemon._drain_one(1)
     dt = time.perf_counter() - t0
@@ -171,42 +178,40 @@ def _drain_once(payloads: dict[int, bytes], root: Path, codec, pipelined: bool,
 
 def bench_drain(payloads: dict[str, bytes], quick: bool) -> dict:
     # Two ranks of miniapp state, drained into an I/O store throttled to a
-    # bandwidth comparable to the compressor, so the pipelined path has
-    # both a kernel and an overlap advantage to demonstrate.
+    # bandwidth comparable to the compressor, so both terms of the bound
+    # are in play and only overlapping them reaches it.
     names = sorted(payloads, key=lambda n: (-len(payloads[n]), n))[:2]
     ranks = {i: payloads[name] for i, name in enumerate(names)}
     total = sum(len(p) for p in ranks.values())
     throttle = 4e6 if quick else 8e6
-    # The baseline codec runs the pre-optimization reference scanner —
-    # together with pipelined=False this is the data path as it stood
-    # before this optimization pass (it still decodes via the shared,
-    # format-compatible decompressor).
-    ref_codec = Codec("lz4", 1, lz4.compress_ref, lz4.decompress)
     with tempfile.TemporaryDirectory() as d:
-        t_base, restored_base, base = _drain_once(
-            ranks, Path(d) / "base", ref_codec, False, throttle)
-    with tempfile.TemporaryDirectory() as d:
-        t_pipe, restored_pipe, pipe = _drain_once(
-            ranks, Path(d) / "pipe", fast_lz4_codec(), True, throttle)
-    if restored_base != ranks or restored_pipe != ranks:
+        t, restored, daemon = _drain_once(ranks, Path(d), fast_lz4_codec(), throttle)
+    if restored != ranks:
         raise SystemExit("FATAL: drained checkpoint does not restore to original state")
-    _log(f"  drain {total / 1e6:.2f} MB  baseline {total / t_base / 1e6:.2f} MB/s  "
-         f"pipelined {total / t_pipe / 1e6:.2f} MB/s  ({t_base / t_pipe:.1f}x)")
+    st = daemon.stats
+    # Both bound terms in uncompressed bytes/s: the throttled write scaled
+    # by the achieved factor, and the compressor's input rate.
+    io_term = throttle / max(1.0 - st.achieved_factor, 1e-12)
+    compress_term = st.bytes_in / st.compress.seconds
+    bound = min(io_term, compress_term)
+    fraction = total / t / bound
+    _log(f"  drain {total / 1e6:.2f} MB  {total / t / 1e6:.2f} MB/s  "
+         f"bound {bound / 1e6:.2f} MB/s (io {io_term / 1e6:.2f}, "
+         f"compress {compress_term / 1e6:.2f})  fraction {fraction:.2f}")
     return {
         "ranks": len(ranks),
         "bytes_in": total,
         "io_throttle_mbps": throttle / 1e6,
-        "baseline_seconds": round(t_base, 4),
-        "pipelined_seconds": round(t_pipe, 4),
-        "baseline_mbps": round(total / t_base / 1e6, 2),
-        "pipelined_mbps": round(total / t_pipe / 1e6, 2),
-        "speedup": round(t_base / t_pipe, 2),
+        "seconds": round(t, 4),
+        "drain_mbps": round(total / t / 1e6, 2),
+        "achieved_factor": round(st.achieved_factor, 4),
+        "io_term_mbps": round(io_term / 1e6, 2),
+        "compress_term_mbps": round(compress_term / 1e6, 2),
+        "bound_mbps": round(bound / 1e6, 2),
+        "bound_fraction": round(fraction, 3),
+        "write_mbps": round(st.write.rate / 1e6, 2),
+        "stall_seconds": round(st.stall_seconds, 4),
         "restore_identical": True,
-        "pipelined_compress_mbps": round(pipe.stats.compress.rate / 1e6, 2),
-        "pipelined_write_mbps": round(pipe.stats.write.rate / 1e6, 2),
-        "baseline_compress_mbps": round(base.stats.compress.rate / 1e6, 2),
-        "baseline_write_mbps": round(base.stats.write.rate / 1e6, 2),
-        "achieved_factor": round(pipe.stats.achieved_factor, 4),
     }
 
 
@@ -217,8 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--check", action="store_true",
                     help="compare against the recorded baseline instead of overwriting")
     ap.add_argument("--tolerance", type=float, default=0.8,
-                    help="--check passes while speedups stay above this fraction "
-                         "of the recorded ones (default 0.8 = fail on >20%% regression)")
+                    help="--check passes while both gated numbers stay above this "
+                         "fraction of the recorded ones (default 0.8 = fail on >20%% "
+                         "regression)")
     ap.add_argument("-o", "--output", default="BENCH_runtime_throughput.json",
                     help="baseline JSON path")
     args = ap.parse_args(argv)
@@ -231,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     drain = bench_drain(payloads, args.quick)
 
     record = {
-        "benchmark": "checkpoint data path: lz4 kernels, zero_rle, pipelined NDP drain",
+        "benchmark": "checkpoint data path: lz4 kernels, zero_rle, NDP drain vs its bound",
         "quick": args.quick,
         "cpus": os.cpu_count(),
         "platform": platform.platform(),
@@ -242,32 +248,42 @@ def main(argv: list[str] | None = None) -> int:
         "drain": drain,
     }
 
+    # (label, section, key, hard floor) of each gated headline number.
+    gates = (
+        ("lz4 dense speedup", "lz4_aggregate", "dense_speedup", DENSE_SPEEDUP_FLOOR),
+        ("drain bound fraction", "drain", "bound_fraction", BOUND_FRACTION_FLOOR),
+    )
+    failures = []
+    for label, section, key, floor in gates:
+        got = record[section][key]
+        status = "ok" if got >= floor else "BELOW FLOOR"
+        _log(f"  floor {label}: {got} (hard floor {floor}) {status}")
+        if got < floor:
+            failures.append(label)
+
     if args.check:
         path = Path(args.output)
         if not path.exists():
             _log(f"FATAL: --check needs a recorded baseline at {path}")
             return 1
         baseline = json.loads(path.read_text())
-        failures = []
-        for label, got, ref in (
-            ("lz4 dense kernel", lz4_aggregate["dense_speedup"],
-             baseline["lz4_aggregate"]["dense_speedup"]),
-            ("pipelined drain", drain["speedup"], baseline["drain"]["speedup"]),
-        ):
+        for label, section, key, _ in gates:
+            got, ref = record[section][key], baseline[section][key]
             floor = args.tolerance * ref
             status = "ok" if got >= floor else "REGRESSION"
-            _log(f"  check {label}: {got}x vs recorded {ref}x (floor {floor:.2f}x) {status}")
+            _log(f"  check {label}: {got} vs recorded {ref} (floor {floor:.2f}) {status}")
             if got < floor:
                 failures.append(label)
-        if failures:
-            _log(f"FAIL: throughput regression in {', '.join(failures)}")
-            return 1
+
+    if failures:
+        _log(f"FAIL: {', '.join(failures)}")
+        return 1
+    if args.check:
         _log("check passed: no throughput regression")
         return 0
-
     Path(args.output).write_text(json.dumps(record, indent=1) + "\n")
     _log(f"wrote {args.output}: dense lz4 {lz4_aggregate['dense_speedup']}x, "
-         f"drain {drain['speedup']}x")
+         f"drain at {drain['bound_fraction']} of its bound")
     return 0
 
 

@@ -27,7 +27,6 @@ from .stream import (
     DEFAULT_BLOCK_SIZE,
     compress_stream,
     decompress_stream,
-    iter_compressed_blocks,
     parallel_decompress,
 )
 
@@ -61,6 +60,5 @@ __all__ = [
     "compress_stream",
     "decompress_stream",
     "parallel_decompress",
-    "iter_compressed_blocks",
     "DEFAULT_BLOCK_SIZE",
 ]

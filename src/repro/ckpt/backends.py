@@ -105,14 +105,13 @@ class DirectoryStore:
     ) -> None:
         """Write one rank's context file without committing the checkpoint.
 
-        Staged files are invisible to readers until
-        :meth:`commit_checkpoint` lands; the NDP drain daemon uses this to
-        overlap compression of one rank with the (throttled) write of the
-        previous one.
+        :meth:`write_checkpoint`'s per-rank step.  Staged files are
+        invisible to readers until :meth:`commit_checkpoint` lands.
         """
         cdir = self._ckpt_dir(app_id, ckpt_id)
         cdir.mkdir(parents=True, exist_ok=True)
-        self._write_file(cdir / f"rank_{rank:05d}.ctx", payload, header)
+        write_context_file(cdir / f"rank_{rank:05d}.ctx", payload, header)
+        self._on_chunk(len(payload))
 
     def stage_rank_frames(
         self,
@@ -128,10 +127,11 @@ class DirectoryStore:
     ) -> ContextHeader:
         """Stream one rank's payload ``frames`` into a staged context file.
 
-        The pipelined counterpart of :meth:`stage_rank_file`: ``frames``
-        is an iterable of byte chunks (e.g. the block frames of
-        :func:`repro.ckpt.stream.iter_frames`) written as they arrive, so
-        the store never holds a rank payload in one piece.  Each chunk
+        The streaming counterpart of :meth:`stage_rank_file` and the one
+        way ranks reach the I/O level: the NDP drain and the host-mode push
+        both feed it :func:`repro.ckpt.stream.rank_frames`.  ``frames`` is
+        an iterable of byte chunks written as they arrive, so the store
+        never holds a rank payload in one piece.  Each chunk
         passes through the :meth:`_on_chunk` hook — the throttled
         :class:`IOStore` charges bandwidth per chunk, which is what lets a
         producer overlap compression with the sleep of the previous
@@ -278,9 +278,6 @@ class DirectoryStore:
 
     # -- hooks ----------------------------------------------------------------
 
-    def _write_file(self, path: Path, payload: bytes, header: ContextHeader) -> None:
-        write_context_file(path, payload, header)
-
     def _on_chunk(self, nbytes: int) -> None:
         """Per-chunk write hook (bandwidth accounting/throttling lives here)."""
 
@@ -386,13 +383,9 @@ class IOStore(DirectoryStore):
         self.throttle_bps = throttle_bps
         self.bytes_written = 0
 
-    def _write_file(self, path: Path, payload: bytes, header: ContextHeader) -> None:
-        super()._write_file(path, payload, header)
-        self._on_chunk(len(payload))
-
     def _on_chunk(self, nbytes: int) -> None:
         # Whole-file and per-frame writes share this accounting, so a
-        # pipelined producer pays the throttle one chunk at a time (and
+        # streaming producer pays the throttle one chunk at a time (and
         # can compress the next block during the sleep) instead of in one
         # checkpoint-sized stall at the end.
         self.bytes_written += nbytes

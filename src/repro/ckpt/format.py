@@ -11,6 +11,10 @@ the payload, sizes, codec name if the payload is compressed).  Payload
 bytes are the application state (for the proxy apps, a serialized state
 dict).  Headers are JSON so context files remain debuggable with a hex
 editor and ``jq``.
+
+Files are written whole (:func:`write_context_file`, the local and
+partner commits) or streamed frame by frame (:func:`write_context_frames`,
+every I/O-level write); both read back through :func:`read_context_file`.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ __all__ = [
     "write_context_file",
     "write_context_frames",
     "read_context_file",
-    "read_context_header",
-    "read_context_chunks",
     "make_header",
     "CorruptCheckpointError",
 ]
@@ -166,66 +168,6 @@ def write_context_frames(
         raise
     tmp.replace(path)
     return header
-
-
-def read_context_header(path: Path | str) -> tuple[ContextHeader, int]:
-    """Read only the header of a context file; returns (header, payload offset).
-
-    Lets stores inspect rank files (sizes, codec, delta base) without
-    pulling payloads into memory.
-    """
-    path = Path(path)
-    with open(path, "rb") as fh:
-        pre = fh.read(10)
-        if len(pre) < 10 or pre[:4] != _MAGIC:
-            raise CorruptCheckpointError(f"{path}: not a checkpoint context file")
-        version, head_len = struct.unpack_from("<HI", pre, 4)
-        if version != _VERSION:
-            raise CorruptCheckpointError(f"{path}: unsupported version {version}")
-        head = fh.read(head_len)
-        if len(head) < head_len:
-            raise CorruptCheckpointError(f"{path}: truncated header")
-    try:
-        header = ContextHeader(**json.loads(head))
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise CorruptCheckpointError(f"{path}: malformed header: {exc}") from exc
-    return header, 10 + head_len
-
-
-def read_context_chunks(
-    path: Path | str, verify: bool = True, chunk_size: int = 1 << 20
-):
-    """Chunked counterpart of :func:`read_context_file`.
-
-    Returns ``(header, chunks)`` where ``chunks`` yields the payload in
-    ``chunk_size`` pieces, CRC-checked incrementally; a mismatch or a
-    truncated payload raises :class:`CorruptCheckpointError` from the
-    generator.  Restore uses this so only one chunk of one rank file is
-    buffered at a time.
-    """
-    path = Path(path)
-    header, offset = read_context_header(path)
-
-    def _chunks():
-        crc = 0
-        got = 0
-        with open(path, "rb") as fh:
-            fh.seek(offset)
-            while True:
-                chunk = fh.read(chunk_size)
-                if not chunk:
-                    break
-                crc = zlib.crc32(chunk, crc)
-                got += len(chunk)
-                yield chunk
-        if got != header.payload_size:
-            raise CorruptCheckpointError(
-                f"{path}: payload truncated ({got} of {header.payload_size} bytes)"
-            )
-        if verify and (crc & 0xFFFFFFFF) != header.payload_crc:
-            raise CorruptCheckpointError(f"{path}: payload CRC mismatch")
-
-    return header, _chunks()
 
 
 def read_context_file(path: Path | str, verify: bool = True) -> tuple[ContextHeader, bytes]:

@@ -10,8 +10,11 @@ path over real files:
 * in **ndp** mode the background :class:`~repro.ckpt.ndp_daemon.NDPDrainDaemon`
   compresses and pushes checkpoints to the I/O store off the critical
   path; in **host** mode every ``io_every``-th checkpoint is written to
-  I/O synchronously (compressed inline), reproducing the conventional
-  configuration the paper compares against;
+  I/O synchronously, reproducing the conventional configuration the
+  paper compares against.  Both modes write each rank as the same
+  :func:`~repro.ckpt.stream.rank_frames` streamed into
+  :meth:`~repro.ckpt.backends.DirectoryStore.stage_rank_frames`, so the
+  I/O level holds one format whichever mode wrote it;
 * :meth:`restart` runs the local -> partner -> I/O recovery protocol,
   pausing the drain while reading from I/O.
 
@@ -39,7 +42,7 @@ from .format import ContextHeader, make_header
 from .metrics import RuntimeMetrics
 from .ndp_daemon import NDPDrainDaemon
 from .restart import RecoveryResult, recover
-from .stream import DEFAULT_BLOCK_SIZE, compress_stream
+from .stream import DEFAULT_BLOCK_SIZE, rank_frames
 
 __all__ = ["MultilevelCheckpointer"]
 
@@ -253,22 +256,17 @@ class MultilevelCheckpointer:
         self, ckpt_id: int, payloads: dict[int, bytes], position: float
     ) -> None:
         """Synchronous (blocking) compressed push to the I/O store."""
+        codec_name = self.codec.name if self.codec is not None else None
         for rank, data in sorted(payloads.items()):
-            if self.codec is not None:
-                out = compress_stream(data, self.codec, self.block_size)
-                codec_name = self.codec.name
-            else:
-                out, codec_name = data, None
-            header = make_header(
-                app_id=self.app_id,
-                rank=rank,
-                ckpt_id=ckpt_id,
-                payload=out,
+            self.io.stage_rank_frames(
+                self.app_id,
+                ckpt_id,
+                rank,
+                rank_frames(data, self.codec, self.block_size),
                 position=position,
                 uncompressed_size=len(data),
                 codec=codec_name,
             )
-            self.io.stage_rank_file(self.app_id, ckpt_id, rank, header, out)
         self.io.commit_checkpoint(self.app_id, ckpt_id)
 
     def _header(
@@ -284,7 +282,7 @@ class MultilevelCheckpointer:
 
     # -- restart -------------------------------------------------------------------
 
-    def restart(self, decompress_workers: int = 4) -> RecoveryResult:
+    def restart(self) -> RecoveryResult:
         """Recover the newest usable checkpoint (local -> partner -> I/O).
 
         Pauses the drain daemon while recovery may be reading from the I/O
@@ -301,9 +299,7 @@ class MultilevelCheckpointer:
         try:
             with obs_trace.span("restore", "restart", app=self.app_id) as sp:
                 with self.metrics.timed("restore"):
-                    result = recover(
-                        self.app_id, stores, decompress_workers=decompress_workers
-                    )
+                    result = recover(self.app_id, stores)
                 sp.set(ckpt=result.ckpt_id, level=result.level)
             self.metrics.restores += 1
             _RESTORES.inc(app=self.app_id, level=result.level)

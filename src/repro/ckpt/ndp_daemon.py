@@ -11,13 +11,12 @@ Faithful to Section 4.2:
 * locks the checkpoint in the local circular buffer for the duration and
   unlocks (making it evictable) on completion,
 * compression overlaps the I/O write block-by-block: the daemon thread
-  feeds compressed frames through a bounded queue to a single writer
-  thread streaming them into the (possibly throttled) I/O store, so at
-  most ``queue_depth`` blocks are in flight and a rank's compressed
-  payload is never materialized whole (Section 4.2.2's small-DMA
-  pipeline).  ``pipelined=False`` falls back to rank-at-a-time staging
-  (compress a full rank, then write it while the next compresses) — the
-  pre-pipeline behaviour, kept as the benchmark baseline,
+  feeds compressed frames (:func:`repro.ckpt.stream.rank_frames`, the
+  same frames the host-mode push writes) through a bounded queue to a
+  single writer thread streaming them into the (possibly throttled) I/O
+  store, so at most ``queue_depth`` blocks are in flight and a rank's
+  compressed payload is never materialized whole (Section 4.2.2's
+  small-DMA pipeline),
 * :meth:`pause` / :meth:`resume` let the host claim full NVM bandwidth
   during its local checkpoint writes, and recovery code pauses the drain
   while it reads from global I/O (Section 4.2.3).
@@ -41,9 +40,9 @@ from ..compression.delta import xor_delta, zero_rle
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .backends import IOStore, LocalStore
-from .format import CorruptCheckpointError, make_header
+from .format import CorruptCheckpointError
 from .metrics import StageCounter
-from .stream import DEFAULT_BLOCK_SIZE, compress_stream, iter_frames
+from .stream import DEFAULT_BLOCK_SIZE, rank_frames
 
 __all__ = ["NDPDrainDaemon", "DrainStats"]
 
@@ -80,7 +79,10 @@ class DrainStats:
     stalls: int = 0
     stall_seconds: float = 0.0
     drained_ids: list[int] = field(default_factory=list)
-    #: Time/bytes spent producing compressed frames (daemon thread).
+    #: Time spent producing frames (daemon thread), charged with the
+    #: *compressed* frame bytes — so ``compress.rate`` is
+    #: ``(1 - factor)`` x the model's ``compress_rate``, which is
+    #: ``bytes_in / compress.seconds``.
     compress: StageCounter = field(default_factory=StageCounter)
     #: Time/bytes spent writing frames to the I/O store (writer thread).
     write: StageCounter = field(default_factory=StageCounter)
@@ -136,18 +138,11 @@ class NDPDrainDaemon:
         drain, shrinking I/O traffic for slowly-evolving state.  Recovery
         reconstructs delta checkpoints from their base
         (:mod:`repro.ckpt.restart`).
-    pipelined:
-        True (default) streams compressed frames to the writer thread
-        through a bounded queue — compression of block ``b+1`` overlaps
-        the write (and throttle sleep) of block ``b``, and peak buffering
-        is ``queue_depth`` blocks.  False restores rank-at-a-time staging.
     queue_depth:
-        Frames in flight between the compressor and the writer
-        (pipelined mode's backpressure bound).
-    compress_workers:
-        Threads compressing blocks concurrently inside one rank (passed
-        to :func:`repro.ckpt.stream.iter_frames`).  Useful for codecs
-        that release the GIL; 1 keeps compression on the daemon thread.
+        Frames in flight between the compressor and the writer thread —
+        the backpressure bound: compression of block ``b+1`` overlaps the
+        write (and throttle sleep) of block ``b``, and peak buffering is
+        ``queue_depth`` blocks.
     """
 
     def __init__(
@@ -159,16 +154,12 @@ class NDPDrainDaemon:
         block_size: int = DEFAULT_BLOCK_SIZE,
         poll_interval: float = 0.005,
         delta_every: int = 0,
-        pipelined: bool = True,
         queue_depth: int = 8,
-        compress_workers: int = 1,
     ):
         if delta_every < 0:
             raise ValueError("delta_every must be >= 0")
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if compress_workers < 1:
-            raise ValueError("compress_workers must be >= 1")
         self.app_id = app_id
         self.local = local
         self.io = io
@@ -176,9 +167,7 @@ class NDPDrainDaemon:
         self.block_size = block_size
         self.poll_interval = poll_interval
         self.delta_every = delta_every
-        self.pipelined = pipelined
         self.queue_depth = queue_depth
-        self.compress_workers = compress_workers
         self.stats = DrainStats()
         obs_metrics.register_drain_stats(self.stats, app=app_id)
         # Delta state: the most recent *full* drained checkpoint.
@@ -299,10 +288,7 @@ class NDPDrainDaemon:
                 bytes=payload_bytes,
                 delta=use_delta,
             ), self.stats.drain.timed(payload_bytes):
-                if self.pipelined:
-                    self._push_pipelined(ckpt_id, files, use_delta)
-                else:
-                    self._push_staged(ckpt_id, files, use_delta)
+                self._push(ckpt_id, files, use_delta)
                 self.io.commit_checkpoint(self.app_id, ckpt_id)
             self.stats.checkpoints_drained += 1
             self.stats.drained_ids.append(ckpt_id)
@@ -324,7 +310,7 @@ class NDPDrainDaemon:
             return zero_rle(xor_delta(self._base_payloads[rank], payload, strict=True))
         return payload
 
-    def _push_pipelined(self, ckpt_id: int, files: dict, use_delta: bool) -> None:
+    def _push(self, ckpt_id: int, files: dict, use_delta: bool) -> None:
         """Frame-at-a-time drain: bounded queue into a single writer thread.
 
         The daemon thread compresses blocks and feeds wire frames into a
@@ -342,16 +328,7 @@ class NDPDrainDaemon:
             for rank, (header, payload) in sorted(files.items()):
                 self._running.wait()
                 body = self._rank_body(rank, payload, use_delta)
-                if self.codec is not None:
-                    frames = iter_frames(
-                        body, self.codec, self.block_size, self.compress_workers
-                    )
-                else:
-                    mv = memoryview(body)
-                    frames = (
-                        mv[off : off + self.block_size]
-                        for off in range(0, max(len(mv), 1), self.block_size)
-                    )
+                frames = rank_frames(body, self.codec, self.block_size)
                 fifo: queue.Queue = queue.Queue(maxsize=self.queue_depth)
                 fut = writer.submit(
                     self._write_rank,
@@ -431,53 +408,6 @@ class NDPDrainDaemon:
         )
         self.stats.write.add(out_header.payload_size, time.perf_counter() - t0)
         return out_header
-
-    def _push_staged(self, ckpt_id: int, files: dict, use_delta: bool) -> None:
-        """Rank-at-a-time drain (the pre-pipeline baseline).
-
-        Each rank is compressed to one bytes object in the daemon thread,
-        then written whole by the writer thread while the next rank
-        compresses — overlap at rank granularity, with a full compressed
-        rank buffered and the throttle paid in one sleep per rank.
-        """
-        delta_base = self._base_id if use_delta else None
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ndp-write") as writer:
-            pending: Future | None = None
-            for rank, (header, payload) in sorted(files.items()):
-                self._running.wait()
-                body = self._rank_body(rank, payload, use_delta)
-                t0 = time.perf_counter()
-                if self.codec is not None:
-                    out_payload = compress_stream(body, self.codec, self.block_size)
-                    codec_name = self.codec.name
-                else:
-                    out_payload = body
-                    codec_name = None
-                self.stats.compress.add(len(out_payload), time.perf_counter() - t0)
-                out_header = make_header(
-                    app_id=header.app_id,
-                    rank=header.rank,
-                    ckpt_id=header.ckpt_id,
-                    payload=out_payload,
-                    position=header.position,
-                    uncompressed_size=header.uncompressed_size,
-                    codec=codec_name,
-                    delta_base=delta_base,
-                )
-                self.stats.bytes_in += len(payload)
-                self.stats.bytes_out += len(out_payload)
-                if pending is not None:
-                    pending.result()
-                pending = writer.submit(
-                    self._stage_whole_rank, ckpt_id, rank, out_header, out_payload
-                )
-            if pending is not None:
-                pending.result()
-
-    def _stage_whole_rank(self, ckpt_id: int, rank: int, header, payload) -> None:
-        t0 = time.perf_counter()
-        self.io.stage_rank_file(self.app_id, ckpt_id, rank, header, payload)
-        self.stats.write.add(len(payload), time.perf_counter() - t0)
 
     def _delta_eligible(self, files: dict) -> bool:
         """Whether this drain may be stored as a delta against the base."""

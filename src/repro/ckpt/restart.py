@@ -35,6 +35,9 @@ _WALKBACKS = obs_metrics.REGISTRY.counter(
 
 __all__ = ["RecoveryResult", "recover", "NoCheckpointError"]
 
+#: Threads decoding one rank's blocks (:func:`~repro.ckpt.stream.parallel_decompress`).
+DECOMPRESS_WORKERS = 4
+
 
 class NoCheckpointError(RuntimeError):
     """No usable checkpoint exists on any storage level."""
@@ -65,7 +68,6 @@ class RecoveryResult:
 def recover(
     app_id: str,
     stores: list[DirectoryStore],
-    decompress_workers: int = 4,
     verify: bool = True,
 ) -> RecoveryResult:
     """Restore the newest usable checkpoint, preferring earlier stores.
@@ -90,9 +92,7 @@ def recover(
                     continue
                 try:
                     files = store.iter_rank_files(app_id, ckpt_id, verify=verify)
-                    payloads, positions = _unpack(
-                        files, decompress_workers, store, app_id, verify
-                    )
+                    payloads, positions = _unpack(files, store, app_id, verify)
                 except (CorruptCheckpointError, FileNotFoundError, OSError, ValueError, KeyError):
                     _WALKBACKS.inc(app=app_id)
                     continue
@@ -115,17 +115,16 @@ def recover(
     )
 
 
-def _decode(header: ContextHeader, payload: bytes, workers: int) -> bytes:
+def _decode(header: ContextHeader, payload: bytes) -> bytes:
     """Undo the codec layer of one rank file (not the delta layer)."""
     if header.codec is None:
         return payload
     codec = codec_from_name(header.codec)
-    return parallel_decompress(payload, codec, workers=workers)
+    return parallel_decompress(payload, codec, workers=DECOMPRESS_WORKERS)
 
 
 def _unpack(
     files,
-    workers: int,
     store: DirectoryStore,
     app_id: str,
     verify: bool,
@@ -142,7 +141,7 @@ def _unpack(
     positions: dict[int, float] = {}
     for header, payload in files:
         rank = header.rank
-        body = _decode(header, payload, workers)
+        body = _decode(header, payload)
         if header.delta_base is not None:
             base_header, base_payload = store.read_rank_file(
                 app_id, header.delta_base, rank, verify=verify
@@ -152,7 +151,7 @@ def _unpack(
                     f"delta base {header.delta_base} is itself a delta "
                     "(chained deltas are not produced by the daemon)"
                 )
-            base = _decode(base_header, base_payload, workers)
+            base = _decode(base_header, base_payload)
             body = apply_xor_delta(base, zero_rle_decode(body))
         if len(body) != header.uncompressed_size:
             raise ValueError(

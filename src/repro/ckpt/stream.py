@@ -3,15 +3,16 @@
 The NDP compresses checkpoints in *blocks* so compression can overlap the
 network write, and the host decompresses blocks *concurrently* on restore
 ("each page ... sent to a different core", Section 4.3).  This module is
-that container format plus its pipelined/parallel processors:
+that container format plus its producers and decoders:
 
 * :func:`iter_frames` — the streaming producer: yields wire-format frames
   (header first, then one frame per compressed block) from ``memoryview``
   slices of the payload, so nothing is ever concatenated or copied on the
-  way in.  With ``workers > 1`` blocks compress on a thread pool behind a
-  bounded in-flight window: the producer stays at most ``workers + 2``
-  blocks ahead of the consumer (backpressure), and frames still come out
-  in order.
+  way in.
+* :func:`rank_frames` — the frames one rank is stored as on the I/O level:
+  :func:`iter_frames` when a codec is set, raw block slices otherwise.
+  Every I/O write (the NDP drain and the host-mode push alike) streams
+  these into :meth:`~repro.ckpt.backends.DirectoryStore.stage_rank_frames`.
 * :func:`compress_stream` — materialize the frames into one bytes object.
 * :func:`decompress_stream` — sequential decode.
 * :func:`parallel_decompress` — thread-pool decode.  zlib/bz2/lzma release
@@ -25,7 +26,6 @@ the codec without intermediate copies on the way out either.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
 
@@ -47,8 +47,8 @@ __all__ = [
     "compress_stream",
     "decompress_stream",
     "parallel_decompress",
-    "iter_compressed_blocks",
     "iter_frames",
+    "rank_frames",
     "DEFAULT_BLOCK_SIZE",
 ]
 
@@ -56,84 +56,52 @@ _MAGIC = b"RPBS"
 DEFAULT_BLOCK_SIZE = 1 << 20  # 1 MiB blocks
 
 
-def iter_compressed_blocks(payload, codec: Codec, block_size: int = DEFAULT_BLOCK_SIZE):
-    """Yield ``(uncompressed_len, compressed_bytes)`` per block.
-
-    This generator is the producer side of the NDP's compress-while-write
-    pipeline: the drain daemon pulls one block at a time and ships it to
-    the NIC (I/O store) while the next block compresses.  Blocks are
-    ``memoryview`` slices — no payload copies.
-    """
-    if block_size < 1024:
-        raise ValueError("block_size must be >= 1024")
-    mv = memoryview(payload)
-    for off in range(0, len(mv), block_size):
-        chunk = mv[off : off + block_size]
-        yield len(chunk), codec.compress(chunk)
-
-
 def iter_frames(
-    payload,
-    codec: Codec,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    workers: int = 1,
+    payload, codec: Codec, block_size: int = DEFAULT_BLOCK_SIZE
 ) -> Iterator[bytes]:
     """Yield the container's wire frames: header, then one per block.
 
     The concatenation of the frames is exactly :func:`compress_stream`'s
-    output, for any ``workers`` — parallel compression preserves frame
-    order.  The payload is consumed as ``memoryview`` slices and at most
-    ``workers + 2`` blocks are in flight at once, so memory stays bounded
-    no matter how slowly the consumer drains (this is the backpressure
-    that keeps the NDP drain from buffering a whole checkpoint).
+    output.  The payload is consumed as ``memoryview`` slices and each
+    block is compressed only when the consumer asks for its frame, so a
+    slow consumer (a bounded queue in front of a throttled store) holds
+    compression back instead of buffering the payload.
     """
     if block_size < 1024:
         raise ValueError("block_size must be >= 1024")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     mv = memoryview(payload)
     total = len(mv)
     nblocks = (total + block_size - 1) // block_size
     yield _MAGIC + struct.pack("<IQI", block_size, total, nblocks)
-    chunks = (mv[off : off + block_size] for off in range(0, total, block_size))
-    if workers == 1 or nblocks <= 1:
-        for chunk in chunks:
-            cdata = codec.compress(chunk)
-            _BLOCKS.inc(direction="compress")
-            _BYTES.inc(len(chunk), direction="compress")
-            yield struct.pack("<II", len(chunk), len(cdata)) + cdata
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        window: deque = deque()
-        for chunk in chunks:
-            window.append((len(chunk), pool.submit(codec.compress, chunk)))
-            if len(window) > workers + 1:
-                usize, fut = window.popleft()
-                cdata = fut.result()
-                _BLOCKS.inc(direction="compress")
-                _BYTES.inc(usize, direction="compress")
-                yield struct.pack("<II", usize, len(cdata)) + cdata
-        while window:
-            usize, fut = window.popleft()
-            cdata = fut.result()
-            _BLOCKS.inc(direction="compress")
-            _BYTES.inc(usize, direction="compress")
-            yield struct.pack("<II", usize, len(cdata)) + cdata
+    for off in range(0, total, block_size):
+        chunk = mv[off : off + block_size]
+        cdata = codec.compress(chunk)
+        _BLOCKS.inc(direction="compress")
+        _BYTES.inc(len(chunk), direction="compress")
+        yield struct.pack("<II", len(chunk), len(cdata)) + cdata
 
 
-def compress_stream(
-    payload,
-    codec: Codec,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    workers: int = 1,
-) -> bytes:
+def rank_frames(payload, codec: Codec | None, block_size: int = DEFAULT_BLOCK_SIZE):
+    """The frames one rank's payload is stored as on the I/O level.
+
+    With a codec this is :func:`iter_frames` (the block-stream
+    container); without one, the payload itself in ``block_size``
+    ``memoryview`` slices (at least one, possibly empty), so an
+    uncompressed write is still charged to the store block by block.
+    """
+    if codec is not None:
+        return iter_frames(payload, codec, block_size)
+    mv = memoryview(payload)
+    return (mv[off : off + block_size] for off in range(0, max(len(mv), 1), block_size))
+
+
+def compress_stream(payload, codec: Codec, block_size: int = DEFAULT_BLOCK_SIZE) -> bytes:
     """Frame ``payload`` into the block-stream container.
 
     Layout: magic, block size, total uncompressed size, block count, then
-    per block ``[usize u32][csize u32][cdata]``.  Output is identical for
-    any ``workers``.
+    per block ``[usize u32][csize u32][cdata]``.
     """
-    return b"".join(iter_frames(payload, codec, block_size, workers))
+    return b"".join(iter_frames(payload, codec, block_size))
 
 
 def _parse_frames(stream) -> tuple[int, list]:
@@ -171,7 +139,7 @@ def decompress_stream(stream, codec: Codec) -> bytes:
 def parallel_decompress(stream, codec: Codec, workers: int = 4) -> bytes:
     """Decode blocks concurrently on a thread pool (host-side restore).
 
-    Matches Section 4.3's pipelined restore: blocks are independent, the
+    Matches Section 4.3's restore pipeline: blocks are independent, the
     stdlib codecs release the GIL, so ``workers`` threads give near-linear
     speedup for CPU-bound codecs.
     """

@@ -112,9 +112,13 @@ def optimal_ratio(
     def eff(r: int) -> float:
         return _evaluate(params, r, compression, rerun_accounting).efficiency
 
-    # Doubling bracket: find hi with eff(hi) <= eff(hi/2).
+    # Doubling bracket: find hi with eff(hi) <= eff(hi/2).  Ratios too
+    # small to make any progress (efficiency 0) are a flat plateau left of
+    # the peak, not the peak itself, so the bracket keeps doubling across it.
     lo, hi = 1, 2
-    while hi < max_ratio and eff(hi) > eff(max(1, hi // 2)):
+    while hi < max_ratio and (
+        eff(hi) > eff(max(1, hi // 2)) or eff(max(1, hi // 2)) == 0.0
+    ):
         hi *= 2
     hi = min(hi, max_ratio)
     lo = max(1, hi // 4)

@@ -38,7 +38,10 @@ started in the parent.  Each worker:
 
 The parent restarts crashed workers (same index, same socket) until
 :meth:`WorkerSupervisor.stop` — a wedged or OOM-killed worker costs its
-in-flight requests, never the service.
+in-flight requests, never the service.  Respawns of one slot back off
+exponentially, and a slot that crashes :data:`MAX_CONSECUTIVE_CRASHES`
+times in a row is left dead (``WorkerSupervisor.gave_up``) instead of
+crash-looping.
 
 Determinism is untouched: workers share the on-disk
 :class:`~repro.simulation.pool.ResultCache` (atomic, multi-writer-safe
@@ -65,6 +68,15 @@ __all__ = ["SO_REUSEPORT_AVAILABLE", "WorkerSupervisor", "serve_prefork"]
 
 #: Whether this platform can kernel-load-balance accepts across workers.
 SO_REUSEPORT_AVAILABLE = hasattr(socket, "SO_REUSEPORT")
+
+#: Delay before respawning a crashed slot; doubles per consecutive crash.
+RESPAWN_BACKOFF = 0.1
+#: Longest delay between two respawns of one slot.
+RESPAWN_BACKOFF_CAP = 5.0
+#: A worker that stayed up this long before crashing resets its slot's count.
+CRASH_RESET_SECONDS = 30.0
+#: Consecutive crashes after which a slot is no longer respawned.
+MAX_CONSECUTIVE_CRASHES = 5
 
 
 def _reserve_port(host: str, port: int) -> socket.socket:
@@ -127,9 +139,10 @@ class WorkerSupervisor:
 
     ``start`` binds/reserves the port, forks ``procs`` workers, and
     blocks until every worker's socket is accepting.  A monitor thread
-    restarts any worker that dies (``restarts`` counts them).  ``stop``
-    SIGTERMs the group, waits for graceful drains, and SIGKILLs
-    stragglers past the timeout.
+    restarts any worker that dies (``restarts`` counts the attempts),
+    backing off per slot; slots that crash-looped are listed in
+    ``gave_up`` and stay dead.  ``stop`` SIGTERMs the group, waits for
+    graceful drains, and SIGKILLs stragglers past the timeout.
     """
 
     def __init__(self, config: ServiceConfig | None = None, procs: int = 2) -> None:
@@ -139,11 +152,17 @@ class WorkerSupervisor:
         self.procs = procs
         self.port: int = -1
         self.restarts = 0
+        self.gave_up: set[int] = set()
         self.reuse_port = SO_REUSEPORT_AVAILABLE
         self._ctx = mp.get_context("fork")
         self._placeholder: socket.socket | None = None
         self._shared_sock: socket.socket | None = None
         self._workers: list[mp.process.BaseProcess | None] = [None] * procs
+        # Per-slot crash-loop state: consecutive crashes, last spawn time,
+        # and when the next respawn is due.
+        self._crashes = [0] * procs
+        self._spawned_at = [0.0] * procs
+        self._respawn_at = [0.0] * procs
         self._stopping = threading.Event()
         self._monitor_thread: threading.Thread | None = None
         self._lock = threading.Lock()
@@ -177,6 +196,7 @@ class WorkerSupervisor:
         )
 
     def _spawn(self, index: int, ready_timeout: float) -> None:
+        self._spawned_at[index] = time.monotonic()
         ready = self._ctx.Event()
         proc = self._ctx.Process(
             target=_worker_main,
@@ -186,24 +206,55 @@ class WorkerSupervisor:
         )
         proc.start()
         self._workers[index] = proc
-        if not ready.wait(ready_timeout):
-            raise RuntimeError(
-                f"worker {index} (pid {proc.pid}) did not become ready "
-                f"within {ready_timeout}s"
-            )
+        deadline = self._spawned_at[index] + ready_timeout
+        while not ready.wait(0.05):
+            if not proc.is_alive():
+                raise RuntimeError(
+                    f"worker {index} (pid {proc.pid}) exited with code "
+                    f"{proc.exitcode} before becoming ready"
+                )
+            if time.monotonic() >= deadline:
+                proc.kill()
+                proc.join(timeout=5.0)
+                raise RuntimeError(
+                    f"worker {index} (pid {proc.pid}) did not become ready "
+                    f"within {ready_timeout}s"
+                )
+
+    def _note_crash(self, index: int) -> None:
+        """Count a crash of slot ``index``; schedule its respawn or give up."""
+        now = time.monotonic()
+        if now - self._spawned_at[index] >= CRASH_RESET_SECONDS:
+            self._crashes[index] = 0
+        self._crashes[index] += 1
+        self._workers[index] = None
+        if self._crashes[index] >= MAX_CONSECUTIVE_CRASHES:
+            self.gave_up.add(index)
+            return
+        delay = RESPAWN_BACKOFF * 2 ** (self._crashes[index] - 1)
+        self._respawn_at[index] = now + min(delay, RESPAWN_BACKOFF_CAP)
 
     def _monitor(self) -> None:
         """Restart crashed workers until the supervisor stops.
 
         A worker that exits while we are not stopping did so abnormally
         (graceful exits only happen on our SIGTERM); it is respawned at
-        the same index — same port, same shared socket, same stats slot.
+        the same index — same port, same shared socket, same stats slot —
+        once its slot's backoff delay has passed.  A failed respawn (the
+        child exits before it is ready, fork fails, the port is gone)
+        counts as one more crash of that slot.
         """
         while not self._stopping.wait(0.1):
             for i, proc in enumerate(self._workers):
-                if proc is None or proc.is_alive() or self._stopping.is_set():
+                if i in self.gave_up or self._stopping.is_set():
                     continue
-                proc.join()
+                if proc is not None:
+                    if not proc.is_alive():
+                        proc.join()
+                        self._note_crash(i)
+                    continue
+                if time.monotonic() < self._respawn_at[i]:
+                    continue
                 with self._lock:
                     if self._stopping.is_set():
                         break
@@ -211,9 +262,7 @@ class WorkerSupervisor:
                     try:
                         self._spawn(i, ready_timeout=15.0)
                     except (RuntimeError, OSError):
-                        # Couldn't respawn (port gone, fork failure);
-                        # leave the slot dead rather than spin.
-                        self._workers[i] = None
+                        self._note_crash(i)
 
     def worker_pids(self) -> list[int]:
         """Live worker pids, by index (crashed slots omitted)."""

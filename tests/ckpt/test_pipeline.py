@@ -1,4 +1,4 @@
-"""The pipelined data path: streaming frames, chunked stores, drain overlap."""
+"""The I/O write path: streaming frames, chunked stores, drain overlap, host push."""
 
 import queue
 
@@ -7,14 +7,8 @@ import pytest
 
 from repro.compression.codecs import fast_lz4_codec, make_codec
 from repro.ckpt.backends import IOStore, LocalStore
-from repro.ckpt.format import (
-    CorruptCheckpointError,
-    make_header,
-    read_context_chunks,
-    read_context_file,
-    read_context_header,
-    write_context_frames,
-)
+from repro.ckpt.format import make_header, read_context_file, write_context_frames
+from repro.ckpt.multilevel import MultilevelCheckpointer
 from repro.ckpt.ndp_daemon import NDPDrainDaemon
 from repro.ckpt.restart import recover
 from repro.ckpt.stream import (
@@ -39,13 +33,6 @@ class TestStreamFrames:
         assert b"".join(frames) == compress_stream(payload, GZIP, 65536)
         assert len(frames) == 1 + (len(payload) + 65535) // 65536
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_parallel_compression_is_byte_identical(self, payload, workers):
-        serial = compress_stream(payload, GZIP, 65536, workers=1)
-        parallel = compress_stream(payload, GZIP, 65536, workers=workers)
-        assert parallel == serial
-        assert parallel_decompress(parallel, GZIP, workers=workers) == payload
-
     @pytest.mark.parametrize("codec", [GZIP, fast_lz4_codec()])
     def test_empty_payload_round_trips(self, codec):
         stream = compress_stream(b"", codec)
@@ -57,7 +44,7 @@ class TestStreamFrames:
     def test_sub_mf_limit_payloads(self, codec, size):
         # Below LZ4's MF_LIMIT the kernel must emit a literals-only block.
         data = bytes(range(size))
-        stream = compress_stream(data, codec, workers=2)
+        stream = compress_stream(data, codec)
         assert decompress_stream(stream, codec) == data
         assert parallel_decompress(stream, codec, workers=4) == data
 
@@ -78,20 +65,6 @@ class TestWriteContextFrames:
         assert header.payload_size == len(payload)
         assert header.uncompressed_size == 123
         assert header.delta_base == 4
-
-    def test_chunked_reader_verifies_crc(self, tmp_path, payload):
-        path = tmp_path / "rank.ctx"
-        write_context_frames(path, [payload], app_id="a", rank=0, ckpt_id=1)
-        header, chunks = read_context_chunks(path, chunk_size=10_000)
-        assert b"".join(chunks) == payload
-        # Flip a payload byte: the chunk generator must raise at exhaustion.
-        _, offset = read_context_header(path)
-        blob = bytearray(path.read_bytes())
-        blob[offset + 100] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        _, chunks = read_context_chunks(path, chunk_size=10_000)
-        with pytest.raises(CorruptCheckpointError, match="CRC mismatch"):
-            list(chunks)
 
     def test_on_chunk_sees_every_byte(self, tmp_path, payload):
         seen = []
@@ -157,19 +130,32 @@ def _seed_local(tmp_path, payloads: dict[int, bytes], ckpt_id: int = 1) -> Local
 class TestPipelinedDrain:
     @pytest.mark.parametrize("codec", [None, fast_lz4_codec(), GZIP])
     def test_pipelined_restores_identically_to_staged(self, tmp_path, payload, codec):
-        ranks = {0: payload, 1: payload[::-1]}
-        restored = {}
-        for mode, pipelined in (("pipe", True), ("staged", False)):
-            local = _seed_local(tmp_path / mode, ranks)
-            io = IOStore(tmp_path / mode / "io")
-            daemon = NDPDrainDaemon(
-                "app", local, io, codec=codec, block_size=32_768, pipelined=pipelined
-            )
-            daemon._drain_one(1)
-            assert daemon.stats.checkpoints_drained == 1
-            restored[mode] = recover("app", [io])
-        assert restored["pipe"].payloads == restored["staged"].payloads == ranks
-        assert restored["pipe"].positions == restored["staged"].positions
+        """The frame-pipelined drain restores exactly the payloads staged in
+        the local store, for a full drain and for a delta against it."""
+        full = {0: payload, 1: payload[::-1]}
+        local = _seed_local(tmp_path, full)
+        io = IOStore(tmp_path / "io")
+        daemon = NDPDrainDaemon(
+            "app", local, io, codec=codec, block_size=32_768, delta_every=3
+        )
+        daemon._drain_one(1)
+        restored = recover("app", [io])
+        assert restored.payloads == full
+        assert restored.positions == {0: 1.0, 1: 1.0}
+
+        changed = bytearray(payload)
+        changed[5000:5016] = b"fresh state here"
+        delta = {0: bytes(changed), 1: payload[::-1]}
+        local.write_checkpoint("app", 2, {
+            rank: (make_header("app", rank, 2, data, position=2.0), data)
+            for rank, data in delta.items()
+        })
+        daemon._drain_one(2)
+        assert daemon.stats.delta_drains == 1
+        assert io.read_rank_file("app", 2, 0)[0].delta_base == 1
+        restored = recover("app", [io])
+        assert (restored.ckpt_id, restored.payloads) == (2, delta)
+        assert restored.positions == {0: 2.0, 1: 2.0}
 
     def test_stage_counters_populated(self, tmp_path, payload):
         local = _seed_local(tmp_path, {0: payload})
@@ -231,3 +217,48 @@ class TestPipelinedDrain:
         daemon._drain_one(2)
         assert daemon.stats.delta_drains == 1
         assert recover("app", [io]).payloads == {0: bytes(changed)}
+
+
+class _CountingIO(IOStore):
+    """An I/O store that records every chunk its throttle hook is charged."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.chunks: list[int] = []
+
+    def _on_chunk(self, nbytes: int) -> None:
+        self.chunks.append(nbytes)
+        super()._on_chunk(nbytes)
+
+
+class TestHostPush:
+    @pytest.mark.parametrize("codec", [None, fast_lz4_codec(), GZIP])
+    def test_host_push_streams_the_drain_frames(self, tmp_path, payload, codec):
+        block = 16_384
+        ranks = {0: payload, 1: payload[::-1]}
+        io = _CountingIO(tmp_path / "io")
+        cr = MultilevelCheckpointer(
+            "app", LocalStore(tmp_path / "local"), io, mode="host", codec=codec,
+            block_size=block,
+        )
+        ckpt_id = cr.checkpoint(ranks, position=3.0)
+        res = recover("app", [io])
+        assert (res.ckpt_id, res.level, res.payloads) == (ckpt_id, "io", ranks)
+        assert res.positions == {0: 3.0, 1: 3.0}
+        stored = {r: io.read_rank_file("app", ckpt_id, r) for r in ranks}
+        assert io.bytes_written == sum(h.payload_size for h, _ in stored.values())
+        # The throttle is charged once per frame: every block, plus the
+        # stream header when compressed.
+        blocks = -(-len(payload) // block)
+        assert len(io.chunks) == len(ranks) * (blocks + (codec is not None)) > 2
+        if codec is not None:
+            assert stored[0][1] == compress_stream(payload, codec, block)
+        # The drain writes the very same payload bytes.
+        drained = IOStore(tmp_path / "drained")
+        daemon = NDPDrainDaemon(
+            "app", _seed_local(tmp_path / "drain", ranks), drained, codec=codec,
+            block_size=block,
+        )
+        daemon._drain_one(1)
+        for rank, (_, data) in stored.items():
+            assert drained.read_rank_file("app", 1, rank)[1] == data

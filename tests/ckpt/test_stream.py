@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.ckpt.stream import (
     compress_stream,
     decompress_stream,
-    iter_compressed_blocks,
     parallel_decompress,
 )
 from repro.compression.codecs import make_codec
@@ -28,11 +27,6 @@ class TestFraming:
         data = b"ab" * 2048  # exactly 4 blocks of 1024
         stream = compress_stream(data, GZIP, block_size=1024)
         assert decompress_stream(stream, GZIP) == data
-
-    def test_iter_yields_per_block(self, small_blob):
-        blocks = list(iter_compressed_blocks(small_blob, GZIP, 4096))
-        assert len(blocks) == (len(small_blob) + 4095) // 4096
-        assert sum(u for u, _ in blocks) == len(small_blob)
 
     def test_block_size_validation(self, small_blob):
         with pytest.raises(ValueError):

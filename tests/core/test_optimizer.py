@@ -1,7 +1,7 @@
 """Ratio / interval optimizers over the performance model."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.configs import HOST_GZIP1, NO_COMPRESSION, paper_parameters
@@ -93,6 +93,8 @@ class TestOptimalRatioProperty:
                               HOST_GZIP1.with_factor(0.1),
                               HOST_GZIP1.with_factor(0.7)]),
     )
+    # Ratios below 27 make no progress at all here (efficiency 0).
+    @example(mtti_minutes=5.0, p_local=0.96875, spec=NO_COMPRESSION)
     @settings(max_examples=20, deadline=None)
     def test_matches_exhaustive_argmax(self, mtti_minutes, p_local, spec):
         p = paper_parameters().with_(

@@ -4,7 +4,11 @@ import math
 
 import pytest
 
+from repro.ckpt.backends import IOStore, LocalStore
+from repro.ckpt.format import make_header
 from repro.ckpt.metrics import RuntimeMetrics, StageCounter
+from repro.ckpt.ndp_daemon import NDPDrainDaemon
+from repro.compression.codecs import make_codec
 from repro.core.breakdown import OverheadBreakdown
 from repro.core.configs import (
     NDP_GZIP1,
@@ -113,6 +117,25 @@ class TestDrainDrift:
         assert rows["compress rate"].measured == pytest.approx(100e6)
         assert rows["drain rate (end-to-end)"].predicted == pytest.approx(50e6)
         assert rows["compression factor"].measured == pytest.approx(0.5)
+
+    def test_compress_rate_row_on_a_real_drain(self, tmp_path):
+        # The compress counter is charged *compressed* frame bytes, so its
+        # own rate is (1 - factor) x the model's compress_rate; the drift
+        # row must use uncompressed bytes over compress seconds instead.
+        local, io = LocalStore(tmp_path / "nvm"), IOStore(tmp_path / "pfs")
+        payload = bytes(200_000) + bytes(range(256)) * 400
+        local.write_checkpoint("app", 1, {0: (make_header("app", 0, 1, payload), payload)})
+        daemon = NDPDrainDaemon(
+            "app", local, io, codec=make_codec("gzip", 1), block_size=16_384
+        )
+        daemon._drain_one(1)
+        stats = daemon.stats
+        measured = {r.metric: r for r in drain_drift(stats, PARAMS, SPEC).rows}[
+            "compress rate"
+        ].measured
+        assert measured == pytest.approx(stats.bytes_in / stats.compress.seconds)
+        assert stats.compress.rate == pytest.approx((1 - stats.achieved_factor) * measured)
+        assert stats.achieved_factor > 0.5
 
     def test_stall_note(self):
         stats = _Stats()

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.service import supervisor
 from repro.service import (
     SO_REUSEPORT_AVAILABLE,
     BackgroundServer,
@@ -90,6 +91,38 @@ class TestSupervision:
             t.join(timeout=30)
             assert not t.is_alive()
             assert "efficiency" in result["body"]["result"]
+
+
+class TestCrashLoop:
+    def test_spawn_fails_as_soon_as_the_worker_exits(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "_worker_main", lambda config, sock, ready: os._exit(3))
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with code 3 before becoming ready"):
+            with WorkerSupervisor(ServiceConfig(port=0, jobs=1), procs=1):
+                pass
+        assert time.monotonic() - t0 < 5.0
+
+    def test_crash_loop_backs_off_and_gives_up(self, monkeypatch, tmp_path):
+        """The first worker comes up and dies; every respawn dies before it
+        is ready.  Restarts stay bounded, the slot is given up, and no
+        respawn waits out the 15 s readiness timeout."""
+        marker = tmp_path / "first-worker-ran"
+
+        def crashing(config, sock, ready):
+            if not marker.exists():
+                marker.touch()
+                ready.set()
+            os._exit(3)
+
+        monkeypatch.setattr(supervisor, "_worker_main", crashing)
+        monkeypatch.setattr(supervisor, "RESPAWN_BACKOFF", 0.02)
+        t0 = time.monotonic()
+        with WorkerSupervisor(ServiceConfig(port=0, jobs=1), procs=1) as sup:
+            assert _wait_until(lambda: sup.gave_up == {0}, timeout=10.0)
+            time.sleep(0.3)  # a slot given up is never respawned again
+            assert sup.restarts == supervisor.MAX_CONSECUTIVE_CRASHES - 1
+            assert sup.worker_pids() == []
+        assert time.monotonic() - t0 < 10.0
 
 
 class TestObservability:
