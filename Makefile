@@ -28,7 +28,7 @@ test-fast:
 smoke:
 	$(PYTEST) -q benchmarks/bench_parallel.py
 	PYTHONPATH=src $(PY) benchmarks/record_parallel.py \
-		--seeds 4 --mttis 3 -o /tmp/bench_parallel_smoke.json
+		--quick -o /tmp/bench_parallel_smoke.json
 	PYTHONPATH=src $(PY) benchmarks/record_runtime.py \
 		--quick -o /tmp/bench_runtime_smoke.json
 	PYTHONPATH=src $(PY) benchmarks/record_fastpath.py \
@@ -38,37 +38,19 @@ smoke:
 bench-parallel:
 	PYTHONPATH=src $(PY) benchmarks/record_parallel.py
 
-## Checkpoint data-path throughput: records BENCH_runtime_throughput.json
-## on first run.  Every run fails if the dense lz4 kernel's speedup over
-## the reference scanner is below 2x or the NDP drain reaches less than
-## 0.4 of its drain-rate bound min(io_bw / (1 - factor), compress_rate);
-## after the recording it also fails if either falls more than 20% below
-## the recorded value.
+## Checkpoint data path (lz4 kernels, NDP drain vs its bound); prints its gate table.
 bench-runtime:
 	$(call record_or_check,record_runtime.py,BENCH_runtime_throughput.json)
 
-## Telemetry overhead: records BENCH_obs_overhead.json on first run;
-## afterwards fails if the disabled-span cost regresses >3x or the
-## disabled-instrumentation bound ever exceeds its 2% budget.
+## Telemetry overhead (disabled and enabled tracing); prints its gate table.
 bench-obs:
 	$(call record_or_check,record_obs.py,BENCH_obs_overhead.json)
 
-## Vectorized fastpath engine vs the baselines: records
-## BENCH_sim_fastpath.json on first run (batch vs DES, >=8x floor; the
-## fig6-fig9 grid through one simulate_grid pass vs a per-config loop,
-## >=10x floor; the heterogeneous work x MTTI x capacity batch through
-## the fused + compacted walker vs the per-capacity uncompacted one,
-## >=1.5x floor, bit-identical; zero DES fallbacks); afterwards fails
-## if any speedup regresses more than 40% vs the recording or falls
-## below its floor.
+## Fastpath engine vs the DES and its own older walkers; prints its gate table.
 bench-sim:
 	$(call record_or_check,record_fastpath.py,BENCH_sim_fastpath.json)
 
-## Capacity-planning service under zipfian load: records
-## BENCH_service.json on first run (batched+coalesced throughput vs
-## naive one-request-one-simulate dispatch, >=3x floor, byte-identity
-## verified); afterwards fails if the speedup regresses more than 40%
-## vs the recording or falls below the floor.
+## Service throughput under zipfian load vs naive dispatch; prints its gate table.
 bench-service:
 	$(call record_or_check,record_service.py,BENCH_service.json)
 

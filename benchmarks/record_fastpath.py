@@ -28,28 +28,22 @@ Three measurements, all verified before timing is trusted:
         -o /tmp/smoke.json                                            # smoke
     PYTHONPATH=src python benchmarks/record_fastpath.py --check       # CI gate
 
-Recording fails (exit 1) below the ``--min-speedup`` floors: at full
-size 8x for the batch (the exact ring walker trades a little of the old
-approximate engine's top-end speed for bit-exactness), 10x for the
-grid and 1.5x for the hetero leg; 1.5x/2x/1.1x with ``--quick`` (fixed
-per-batch costs amortize with batch size, so the smoke floors are
-deliberately loose).  ``--check`` re-measures and additionally fails if
-any speedup fell below 60% of its recorded value (the hard floor still
-applies; the DES leg's timing is load-noisy).
+Every run fails (exit 1) on a DES fallback or below the speedup floors
+of ``gates``: at full size 8x for the batch (the exact ring walker
+trades a little of the old approximate engine's top-end speed for
+bit-exactness), 10x for the grid and 1.5x for the hetero leg;
+1.5x/2x/1.1x with ``--quick`` (fixed per-batch costs amortize with
+batch size, so the smoke floors are deliberately loose).  ``--check``
+also fails if any speedup fell below 60% of its recorded value (the
+DES leg's timing is load-noisy).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import os
-import platform
-import sys
-import time
 from dataclasses import replace
-from pathlib import Path
 
+from recorder import Gate, log, parser, run, timed
 from repro.core import HOST_GZIP1, NDP_GZIP1, paper_parameters
 from repro.simulation import SimConfig, simulate, simulate_grid
 from repro.simulation import fastpath
@@ -64,10 +58,6 @@ LEGS = (("host", HOST_GZIP1, 8), ("ndp", NDP_GZIP1, 1))
 #: only sub-ulp drain-clock association on rare ndp seeds remains, so the
 #: mean difference over a batch is rounding noise.
 EFFICIENCY_TOL = 1e-6
-
-
-def _log(msg: str) -> None:
-    print(msg, file=sys.stderr)
 
 
 def _batch(seeds: int, mttis: float) -> list[SimConfig]:
@@ -183,138 +173,84 @@ def _verify(configs: list[SimConfig], des, fast) -> dict[str, dict[str, float]]:
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", type=int, default=0,
-                    help="seeds per strategy (default: 128, or 16 with --quick)")
-    ap.add_argument("--mttis", type=float, default=0.0,
-                    help="simulated MTTIs per run (default: 150.3, or 30.3 with --quick; "
-                         "non-multiples of the 150 s local interval avoid the "
-                         "work-on-checkpoint-boundary float trap)")
-    ap.add_argument("--grid-mttis", type=float, default=0.0,
-                    help="simulated MTTIs per grid cell (default: 50, or 10 with --quick)")
-    ap.add_argument("--quick", action="store_true",
-                    help="tiny batch + 1.5x floor for smoke runs")
-    ap.add_argument("--check", action="store_true",
-                    help="compare against the recorded baseline instead of overwriting")
-    ap.add_argument("--min-speedup", type=float, default=0.0,
-                    help="hard speedup floor for both measurements "
-                         "(default: batch 8 / grid 10, or 1.5 / 2 with --quick)")
-    ap.add_argument("--tolerance", type=float, default=0.6,
-                    help="--check passes while each speedup stays above this "
-                         "fraction of its recorded value (default 0.6: the DES "
-                         "leg's absolute timing is load-sensitive, and the "
-                         "hard floor still applies regardless)")
-    ap.add_argument("-o", "--output", default="BENCH_sim_fastpath.json",
-                    help="baseline JSON path")
-    args = ap.parse_args(argv)
+def gates(quick: bool) -> tuple[Gate, ...]:
+    return (
+        Gate("batch speedup", "speedup", limit=1.5 if quick else 8.0, factor=0.6),
+        Gate("grid speedup", "grid.speedup", limit=2.0 if quick else 10.0, factor=0.6),
+        Gate("hetero speedup", "hetero.speedup",
+             limit=1.1 if quick else 1.5, factor=0.6),
+        Gate("DES fallbacks", "fallbacks", limit=0, lower=True),
+    )
 
-    seeds = args.seeds or (16 if args.quick else 128)
-    mttis = args.mttis or (30.3 if args.quick else 150.3)
-    grid_mttis = args.grid_mttis or (10.0 if args.quick else 50.0)
-    floor_batch = args.min_speedup or (1.5 if args.quick else 8.0)
-    floor_grid = args.min_speedup or (2.0 if args.quick else 10.0)
-    floor_hetero = args.min_speedup or (1.1 if args.quick else 1.5)
-    hetero_n = 64 if args.quick else 256
-    hetero_works = _HETERO_WORKS_QUICK if args.quick else _HETERO_WORKS_FULL
+
+def measure(quick: bool) -> dict:
+    # Non-multiples of the 150 s local interval avoid the
+    # work-on-checkpoint-boundary float trap.
+    seeds, mttis, grid_mttis = (16, 30.3, 10.0) if quick else (128, 150.3, 50.0)
+    hetero_n = 64 if quick else 256
+    hetero_works = _HETERO_WORKS_QUICK if quick else _HETERO_WORKS_FULL
 
     fallbacks_before = fallback_total()
 
     # -- batch measurement: DES vs one simulate_batch call -------------------
     configs = _batch(seeds, mttis)
-    _log(f"batch: {len(configs)} runs ({seeds} seeds x {len(LEGS)} strategies "
-         f"x {mttis:g} MTTIs), single worker")
-
-    t0 = time.perf_counter()
-    des = [simulate(replace(c, engine="des")) for c in configs]
-    t_des = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    fast = simulate_batch(configs)
-    t_fast = time.perf_counter() - t0
+    log(f"batch: {len(configs)} runs ({seeds} seeds x {len(LEGS)} strategies "
+        f"x {mttis:g} MTTIs), single worker")
+    des, t_des = timed(lambda: [simulate(replace(c, engine="des")) for c in configs])
+    fast, t_fast = timed(simulate_batch, configs)
     speedup = t_des / t_fast if t_fast > 0 else float("inf")
     diffs = _verify(configs, des, fast)
-    _log(f"  des  (event-driven)   {t_des:8.2f} s")
-    _log(f"  fast (one batch)      {t_fast:8.2f} s   ({speedup:.1f}x)")
+    log(f"  des  (event-driven)   {t_des:8.2f} s")
+    log(f"  fast (one batch)      {t_fast:8.2f} s   ({speedup:.1f}x)")
     for strat, d in sorted(diffs.items()):
-        _log(f"  agreement {strat:10s} |mean eff diff| = "
-             f"{d['mean_efficiency_abs_diff']:.2e}  "
-             f"max |failure diff| = {d['max_failure_count_diff']}")
+        log(f"  agreement {strat:10s} |mean eff diff| = "
+            f"{d['mean_efficiency_abs_diff']:.2e}  "
+            f"max |failure diff| = {d['max_failure_count_diff']}")
 
     # -- grid measurement: per-config loop vs one simulate_grid pass ---------
     grid_cfgs = _grid_configs(grid_mttis)
-    _log(f"grid: fig6-fig9 config set, {len(grid_cfgs)} configs x "
-         f"{grid_mttis:g} MTTIs, single worker")
-    t0 = time.perf_counter()
-    looped = [simulate_batch([c])[0] for c in grid_cfgs]
-    t_loop = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    grid = simulate_grid(grid_cfgs, seeds=(0,), jobs=1)
-    t_grid = time.perf_counter() - t0
+    log(f"grid: fig6-fig9 config set, {len(grid_cfgs)} configs x "
+        f"{grid_mttis:g} MTTIs, single worker")
+    looped, t_loop = timed(lambda: [simulate_batch([c])[0] for c in grid_cfgs])
+    grid, t_grid = timed(lambda: simulate_grid(grid_cfgs, seeds=(0,), jobs=1))
     grid_speedup = t_loop / t_grid if t_grid > 0 else float("inf")
     for i, (a, b) in enumerate(zip(looped, grid.results.reshape(-1))):
         if a != b:
             raise SystemExit(
                 f"FATAL: grid pass diverges from per-config loop at index {i}")
-    _log(f"  loop (per config)     {t_loop:8.2f} s")
-    _log(f"  grid (one pass)       {t_grid:8.2f} s   ({grid_speedup:.1f}x)")
+    log(f"  loop (per config)     {t_loop:8.2f} s")
+    log(f"  grid (one pass)       {t_grid:8.2f} s   ({grid_speedup:.1f}x)")
 
     # -- hetero measurement: pre-PR walker vs fused + compacted --------------
     hetero_cfgs = _hetero_configs(hetero_n, hetero_works)
-    _log(f"hetero: {len(hetero_cfgs)} trajectories "
-         f"({len(hetero_works)} work targets x {len(_HETERO_SCALES)} MTTI "
-         f"scales x {len(_HETERO_CAPS)} capacities), single worker")
-    t0 = time.perf_counter()
-    hetero_base = _hetero_baseline(hetero_cfgs)
-    t_hbase = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    hetero_fast = simulate_batch(hetero_cfgs)
-    t_hfast = time.perf_counter() - t0
+    log(f"hetero: {len(hetero_cfgs)} trajectories "
+        f"({len(hetero_works)} work targets x {len(_HETERO_SCALES)} MTTI "
+        f"scales x {len(_HETERO_CAPS)} capacities), single worker")
+    hetero_base, t_hbase = timed(_hetero_baseline, hetero_cfgs)
+    hetero_fast, t_hfast = timed(simulate_batch, hetero_cfgs)
     hetero_speedup = t_hbase / t_hfast if t_hfast > 0 else float("inf")
     for i, (a, b) in enumerate(zip(hetero_base, hetero_fast)):
         if a != b:
             raise SystemExit(
                 "FATAL: fused/compacted walker diverges from the "
                 f"per-capacity uncompacted baseline at index {i}")
-    _log(f"  base (split, no compaction) {t_hbase:8.2f} s")
-    _log(f"  fast (fused + compacted)    {t_hfast:8.2f} s   "
-         f"({hetero_speedup:.1f}x, bit-identical)")
+    log(f"  base (split, no compaction) {t_hbase:8.2f} s")
+    log(f"  fast (fused + compacted)    {t_hfast:8.2f} s   "
+        f"({hetero_speedup:.1f}x, bit-identical)")
 
-    fallbacks = fallback_total() - fallbacks_before
-    if fallbacks:
-        _log(f"FAIL: {fallbacks:g} DES fallback(s) during the standard config "
-             "set; the fast engine must cover every experiment config")
-        return 1
-    _log("  fastpath_fallbacks_total: 0 (no DES fallbacks)")
-
-    failed = []
-    if speedup < floor_batch:
-        failed.append(f"batch speedup {speedup:.1f}x below the {floor_batch:g}x floor")
-    if grid_speedup < floor_grid:
-        failed.append(f"grid speedup {grid_speedup:.1f}x below the {floor_grid:g}x floor")
-    if hetero_speedup < floor_hetero:
-        failed.append(
-            f"hetero speedup {hetero_speedup:.1f}x below the {floor_hetero:g}x floor")
-    if failed:
-        for msg in failed:
-            _log(f"FAIL: fastpath {msg}")
-        return 1
-
-    record = {
+    # The speedups stay unrounded: the gates compare them at full precision.
+    return {
         "benchmark": "Monte-Carlo batch: event-driven simulator vs vectorized fastpath",
         "seeds": seeds,
         "mttis_per_run": mttis,
         "strategies": [strat for strat, _, _ in LEGS],
         "runs": len(configs),
-        "quick": args.quick,
+        "quick": quick,
         "jobs": 1,
-        "cpus": os.cpu_count(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
         "des_seconds": round(t_des, 4),
         "fast_seconds": round(t_fast, 4),
-        "speedup": round(speedup, 2),
-        "min_speedup": floor_batch,
-        "fallbacks": fallbacks,
+        "speedup": speedup,
+        "fallbacks": fallback_total() - fallbacks_before,
         "agreement": {
             strat: {k: (round(v, 8) if isinstance(v, float) else v)
                     for k, v in d.items()}
@@ -322,61 +258,33 @@ def main(argv: list[str] | None = None) -> int:
         },
         "grid": {
             "benchmark": "fig6-fig9 config set: per-config loop vs simulate_grid",
-            "min_speedup": floor_grid,
             "configs": len(grid_cfgs),
             "mttis_per_cell": grid_mttis,
             "loop_seconds": round(t_loop, 4),
             "grid_seconds": round(t_grid, 4),
-            "speedup": round(grid_speedup, 2),
+            "speedup": grid_speedup,
         },
         "hetero": {
             "benchmark": ("heterogeneous work x MTTI x capacity batch: "
                           "per-capacity uncompacted walker vs fused + compacted"),
-            "min_speedup": floor_hetero,
             "trajectories": len(hetero_cfgs),
             "work_targets_mttis": list(hetero_works),
             "mtti_scales": list(_HETERO_SCALES),
             "capacities": list(_HETERO_CAPS),
             "baseline_seconds": round(t_hbase, 4),
             "fused_seconds": round(t_hfast, 4),
-            "speedup": round(hetero_speedup, 2),
+            "speedup": hetero_speedup,
             "bit_identical": True,
         },
     }
 
-    if args.check:
-        path = Path(args.output)
-        if not path.exists():
-            _log(f"FATAL: --check needs a recorded baseline at {path}")
-            return 1
-        baseline = json.loads(path.read_text())
-        ok = True
-        for name, measured in (
-            ("batch", speedup),
-            ("grid", grid_speedup),
-            ("hetero", hetero_speedup),
-        ):
-            ref = baseline["speedup"] if name == "batch" else (
-                baseline.get(name, {}).get("speedup"))
-            if ref is None:
-                _log(f"  check {name}: no recorded baseline entry, skipping")
-                continue
-            check_floor = args.tolerance * ref
-            status = "ok" if measured >= check_floor else "REGRESSION"
-            _log(f"  check {name}: {measured:.1f}x vs recorded {ref}x "
-                 f"(floor {check_floor:.2f}x) {status}")
-            ok = ok and measured >= check_floor
-        if not ok:
-            _log("FAIL: fastpath speedup regression")
-            return 1
-        _log("check passed: no fastpath regression")
-        return 0
 
-    Path(args.output).write_text(json.dumps(record, indent=1) + "\n")
-    _log(f"wrote {args.output}: fastpath {record['speedup']}x (batch), "
-         f"{record['grid']['speedup']}x (grid) and "
-         f"{record['hetero']['speedup']}x (hetero) over the baselines")
-    return 0
+def main(argv: list[str] | None = None) -> int:
+    ap = parser(__doc__, "BENCH_sim_fastpath.json")
+    ap.add_argument("--quick", action="store_true",
+                    help="tiny batch + loose floors for smoke runs")
+    args = ap.parse_args(argv)
+    return run(args, lambda: measure(args.quick), gates(args.quick))
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ interleaved runs (robust to absolute machine-speed drift):
   in-memory span, and per labelled ``Counter.inc``;
 * **drain overhead, measured** — the NDP drain of a real checkpoint with
   tracing off vs tracing on (JSONL sink), interleaved, median of
-  ``--reps``;
+  ``REPS``;
 * **drain overhead, disabled bound** — an *upper bound* on what the
   disabled instrumentation can cost the drain: the per-block
   instrumentation op count times the measured worst primitive cost,
@@ -26,18 +26,16 @@ interleaved runs (robust to absolute machine-speed drift):
     PYTHONPATH=src python benchmarks/record_obs.py             # record
     PYTHONPATH=src python benchmarks/record_obs.py --check     # CI gate
 
-``--check`` re-measures and fails (exit 1) if the disabled-overhead
-bound exceeds the 2% budget, the enabled per-request overhead exceeds
-its budget, or the null-span / ``Histogram.observe`` costs regressed
-more than ``--tolerance``x over the recording.
+Every run fails (exit 1) if the disabled-overhead bound exceeds the 2%
+budget, the enabled per-request overhead exceeds its budget, or the
+traced burst leaves orphan spans; ``--check`` also fails if the
+null-span / ``Histogram.observe`` costs exceed 3x the recording (see
+``GATES``).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
 import statistics
 import sys
 import tempfile
@@ -48,24 +46,33 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from repro.ckpt.backends import IOStore, LocalStore
-from repro.ckpt.format import make_header
-from repro.ckpt.ndp_daemon import NDPDrainDaemon
 from repro.ckpt.stream import DEFAULT_BLOCK_SIZE
-from repro.compression.codecs import fast_lz4_codec
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
+from recorder import Gate, log, parser, run  # noqa: E402
+from record_runtime import _drain_once  # noqa: E402
 from record_service import build_corpus, percentile, run_load, zipf_indices  # noqa: E402
 
 #: Hard budget for the disabled-instrumentation overhead bound.
 DISABLED_BUDGET = 0.02
 #: Hard budget for enabled request tracing: p50 delta / untraced p50.
 TRACED_REQUEST_BUDGET = 0.02
+#: Iterations of each primitive-cost loop.
+ITERS = 200_000
+#: Interleaved repetitions per mode of the drain and service comparisons.
+REPS = 3
 
-
-def _log(msg: str) -> None:
-    print(msg, file=sys.stderr)
+GATES = (
+    Gate("disabled-tracing overhead bound", "drain.disabled_overhead_bound",
+         limit=DISABLED_BUDGET, lower=True),
+    Gate("traced-request overhead", "service_tracing.traced_overhead",
+         limit=TRACED_REQUEST_BUDGET, lower=True),
+    Gate("trace orphans", "service_tracing.trace_orphans", limit=0, lower=True),
+    # ns timings are noisy, so the relative gates are loose.
+    Gate("null span ns", "primitives.null_span_ns", factor=3.0, lower=True),
+    Gate("hist.observe ns", "primitives.histogram_observe_ns", factor=3.0, lower=True),
+)
 
 
 def _ns_per_op(fn, iters: int) -> float:
@@ -103,10 +110,10 @@ def bench_primitives(iters: int) -> dict:
         hist.observe(values[idx[0]])
     ns_observe = _ns_per_op(_observe, iters)
 
-    _log(f"  null span   {ns_null:8.1f} ns/op")
-    _log(f"  live span   {ns_enabled:8.1f} ns/op  ({tracer.total} warmup spans)")
-    _log(f"  counter.inc {ns_inc:8.1f} ns/op")
-    _log(f"  hist.observe{ns_observe:8.1f} ns/op  (bisect over {len(hist.buckets)} edges)")
+    log(f"  null span   {ns_null:8.1f} ns/op")
+    log(f"  live span   {ns_enabled:8.1f} ns/op  ({tracer.total} warmup spans)")
+    log(f"  counter.inc {ns_inc:8.1f} ns/op")
+    log(f"  hist.observe{ns_observe:8.1f} ns/op  (bisect over {len(hist.buckets)} edges)")
     return {
         "iters": iters,
         "null_span_ns": round(ns_null, 1),
@@ -126,24 +133,9 @@ def _payloads(size: int) -> dict[int, bytes]:
     return out
 
 
-def _drain_once(payloads: dict[int, bytes], throttle: float) -> float:
-    app_id = "obsbench"
+def _drain_seconds(payloads: dict[int, bytes], throttle: float) -> float:
     with tempfile.TemporaryDirectory() as td:
-        root = Path(td)
-        local = LocalStore(root / "local", capacity=4)
-        io = IOStore(root / "io", throttle_bps=throttle)
-        files = {
-            rank: (make_header(app_id, rank, 1, data, position=1.0), data)
-            for rank, data in payloads.items()
-        }
-        local.write_checkpoint(app_id, 1, files)
-        daemon = NDPDrainDaemon(app_id, local, io, codec=fast_lz4_codec())
-        t0 = time.perf_counter()
-        daemon._drain_one(1)
-        dt = time.perf_counter() - t0
-        if daemon.stats.checkpoints_drained != 1:
-            raise SystemExit("FATAL: drain did not complete")
-    return dt
+        return _drain_once(payloads, Path(td), throttle)[0]
 
 
 def bench_drain(reps: int, primitives: dict) -> dict:
@@ -151,7 +143,7 @@ def bench_drain(reps: int, primitives: dict) -> dict:
     total = sum(len(p) for p in payloads.values())
     throttle = 16e6
     obs_trace.disable()
-    _drain_once(payloads, throttle)  # warm caches before the interleave
+    _drain_seconds(payloads, throttle)  # warm caches before the interleave
 
     off: list[float] = []
     on: list[float] = []
@@ -159,9 +151,9 @@ def bench_drain(reps: int, primitives: dict) -> dict:
         sink = str(Path(td) / "drain-trace.jsonl")
         for _ in range(reps):
             obs_trace.disable()
-            off.append(_drain_once(payloads, throttle))
+            off.append(_drain_seconds(payloads, throttle))
             obs_trace.configure(sink, keep_records=False)
-            on.append(_drain_once(payloads, throttle))
+            on.append(_drain_seconds(payloads, throttle))
         obs_trace.disable()
 
     t_off = statistics.median(off)
@@ -178,11 +170,11 @@ def bench_drain(reps: int, primitives: dict) -> dict:
     worst_ns = max(primitives["null_span_ns"], primitives["counter_inc_ns"])
     disabled_bound = ops * worst_ns * 1e-9 / t_off
 
-    _log(
+    log(
         f"  drain {total / 1e6:.2f} MB: off {t_off:.4f}s  on {t_on:.4f}s  "
         f"enabled overhead {enabled_overhead:+.2%}"
     )
-    _log(
+    log(
         f"  disabled bound: {ops} ops x {worst_ns:.0f} ns = "
         f"{disabled_bound:.4%} of the drain (budget {DISABLED_BUDGET:.0%})"
     )
@@ -250,12 +242,12 @@ def bench_service_tracing(reps: int) -> dict:
     overhead = min((t_on - t_off) / t_off for t_off, t_on in zip(off, on))
     report = validate_request_trees(records)
 
-    _log(
+    log(
         f"  service p50: off {p50_off * 1e3:.2f} ms  on {p50_on * 1e3:.2f} ms  "
         f"per-request tracing overhead {overhead:+.2%} (best pair of {reps}, "
         f"budget {TRACED_REQUEST_BUDGET:.0%})"
     )
-    _log(
+    log(
         f"  request trees: {report['traces']} traces, {report['spans']} spans, "
         f"{len(report['orphans'])} orphans"
     )
@@ -272,84 +264,20 @@ def bench_service_tracing(reps: int) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--iters", type=int, default=200_000,
-                    help="iterations for the primitive-cost loops")
-    ap.add_argument("--reps", type=int, default=3,
-                    help="interleaved drain repetitions per mode")
-    ap.add_argument("--check", action="store_true",
-                    help="compare against the recorded baseline instead of overwriting")
-    ap.add_argument("--tolerance", type=float, default=3.0,
-                    help="--check fails if null-span ns exceeds this multiple "
-                         "of the recording (default 3.0; ns timings are noisy)")
-    ap.add_argument("-o", "--output", default="BENCH_obs_overhead.json",
-                    help="baseline JSON path")
-    args = ap.parse_args(argv)
-
-    primitives = bench_primitives(args.iters)
-    drain = bench_drain(args.reps, primitives)
-    service = bench_service_tracing(args.reps)
-
-    if drain["disabled_overhead_bound"] > DISABLED_BUDGET:
-        _log(
-            f"FAIL: disabled-tracing overhead bound "
-            f"{drain['disabled_overhead_bound']:.2%} exceeds the "
-            f"{DISABLED_BUDGET:.0%} budget"
-        )
-        return 1
-    if service["traced_overhead"] > TRACED_REQUEST_BUDGET:
-        _log(
-            f"FAIL: per-request tracing overhead {service['traced_overhead']:.2%} "
-            f"exceeds the {TRACED_REQUEST_BUDGET:.0%}-of-p50 budget"
-        )
-        return 1
-    if service["trace_orphans"]:
-        _log(f"FAIL: traced burst produced {service['trace_orphans']} orphan spans")
-        return 1
-
-    record = {
+def measure() -> dict:
+    primitives = bench_primitives(ITERS)
+    return {
         "benchmark": "telemetry overhead: span/counter primitives, drain on/off, "
         "request tracing on/off",
-        "cpus": os.cpu_count(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
         "primitives": primitives,
-        "drain": drain,
-        "service_tracing": service,
+        "drain": bench_drain(REPS, primitives),
+        "service_tracing": bench_service_tracing(REPS),
     }
 
-    if args.check:
-        path = Path(args.output)
-        if not path.exists():
-            _log(f"FATAL: --check needs a recorded baseline at {path}")
-            return 1
-        baseline = json.loads(path.read_text())
-        # Micro-cost regressions vs the recording.  Baselines written
-        # before a primitive existed simply skip that gate.
-        for key, label in (
-            ("null_span_ns", "null span"),
-            ("histogram_observe_ns", "hist.observe"),
-        ):
-            ref_ns = baseline["primitives"].get(key)
-            if ref_ns is None:
-                continue
-            ceiling = args.tolerance * ref_ns
-            got_ns = primitives[key]
-            status = "ok" if got_ns <= ceiling else "REGRESSION"
-            _log(f"  check {label}: {got_ns:.0f} ns vs recorded {ref_ns:.0f} ns "
-                 f"(ceiling {ceiling:.0f} ns) {status}")
-            if got_ns > ceiling:
-                _log(f"FAIL: {label} cost regression")
-                return 1
-        _log("check passed: telemetry overhead within budget")
-        return 0
 
-    Path(args.output).write_text(json.dumps(record, indent=1) + "\n")
-    _log(f"wrote {args.output}: null span {primitives['null_span_ns']:.0f} ns, "
-         f"disabled bound {drain['disabled_overhead_bound']:.3%}, "
-         f"traced-request overhead {service['traced_overhead']:+.2%}")
-    return 0
+def main(argv: list[str] | None = None) -> int:
+    args = parser(__doc__, "BENCH_obs_overhead.json").parse_args(argv)
+    return run(args, measure, GATES)
 
 
 if __name__ == "__main__":

@@ -2,89 +2,57 @@
 
 Runs one ``mc_run`` batch three ways — serial, pooled, and cache-warm —
 over the same seeds, verifies the samples are bit-identical, and writes
-the timings (plus machine context: core count matters) to a JSON record::
+the timings (plus the host stamp: core count matters) to a JSON record::
 
     PYTHONPATH=src python benchmarks/record_parallel.py                # full size
-    PYTHONPATH=src python benchmarks/record_parallel.py --seeds 4 \\
-        --mttis 3 -o /tmp/smoke.json                                   # smoke
+    PYTHONPATH=src python benchmarks/record_parallel.py --quick \\
+        -o /tmp/smoke.json                                             # smoke
 
 The speedup claim is only meaningful on a multi-core machine; the record
 always includes ``cpus`` so a single-core result is self-describing.
+Nothing is gated but bit-identity, so there is no ``--check``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
 import tempfile
-import time
-from pathlib import Path
 
+from recorder import log, parser, run, timed
 from repro.core import paper_parameters
 from repro.simulation import ResultCache, SimConfig, mc_run
 from repro.simulation.pool import ChunkTiming, resolve_jobs
 
 
-def _timed(label: str, fn):
-    t0 = time.perf_counter()
-    out = fn()
-    dt = time.perf_counter() - t0
-    print(f"  {label:24s} {dt:8.2f} s", file=sys.stderr)
-    return out, dt
-
-
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", type=int, default=32, help="batch size (default 32)")
-    ap.add_argument("--mttis", type=float, default=50.0,
-                    help="simulated MTTIs per run (default 50)")
-    ap.add_argument("--jobs", type=int, default=0,
-                    help="pool width (default 0 = one per core)")
-    ap.add_argument("-o", "--output", default="BENCH_parallel_pool.json",
-                    help="output JSON path")
-    args = ap.parse_args(argv)
-    if args.seeds < 1:
-        ap.error("--seeds must be >= 1")
-    if args.jobs < 0:
-        ap.error("--jobs must be >= 0 (0 = one per core)")
-
-    jobs = resolve_jobs(args.jobs if args.jobs > 0 else None)
+def measure(quick: bool, jobs: int) -> dict:
+    n_seeds, mttis = (4, 3.0) if quick else (32, 50.0)
     p = paper_parameters()
-    config = SimConfig(params=p, strategy="ndp", work=p.mtti * args.mttis, seed=0)
-    seeds = range(args.seeds)
-    print(f"mc_run: {args.seeds} seeds x {args.mttis} MTTIs, pool width {jobs}",
-          file=sys.stderr)
+    config = SimConfig(params=p, strategy="ndp", work=p.mtti * mttis, seed=0)
+    seeds = range(n_seeds)
+    log(f"mc_run: {n_seeds} seeds x {mttis:g} MTTIs, pool width {jobs}")
 
-    serial, t_serial = _timed("serial (jobs=1)",
-                              lambda: mc_run(config, seeds, jobs=1))
+    serial, t_serial = timed(lambda: mc_run(config, seeds, jobs=1))
+    log(f"  {'serial (jobs=1)':24s} {t_serial:8.2f} s")
     timings: list[ChunkTiming] = []
-    pooled, t_pool = _timed(f"pool   (jobs={jobs})",
-                            lambda: mc_run(config, seeds, jobs=jobs, timings=timings))
+    pooled, t_pool = timed(lambda: mc_run(config, seeds, jobs=jobs, timings=timings))
+    log(f"  {f'pool   (jobs={jobs})':24s} {t_pool:8.2f} s")
     if pooled.samples != serial.samples:
-        print("FATAL: pool samples diverge from serial", file=sys.stderr)
-        return 1
+        raise SystemExit("FATAL: pool samples diverge from serial")
 
     with tempfile.TemporaryDirectory() as d:
         cache = ResultCache(d)
         mc_run(config, seeds, jobs=jobs, cache=cache)
-        warm, t_warm = _timed("cache-warm rerun",
-                              lambda: mc_run(config, seeds, jobs=jobs, cache=cache))
+        warm, t_warm = timed(lambda: mc_run(config, seeds, jobs=jobs, cache=cache))
+        log(f"  {'cache-warm rerun':24s} {t_warm:8.2f} s")
         if warm.samples != serial.samples:
-            print("FATAL: cached samples diverge from serial", file=sys.stderr)
-            return 1
+            raise SystemExit("FATAL: cached samples diverge from serial")
         cache_hits = cache.hits
 
-    record = {
+    return {
         "benchmark": "mc_run batch: serial vs multiprocessing pool vs warm cache",
-        "seeds": args.seeds,
-        "mttis_per_run": args.mttis,
+        "seeds": n_seeds,
+        "mttis_per_run": mttis,
         "jobs": jobs,
         "cpus": resolve_jobs(None),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
         "serial_seconds": round(t_serial, 4),
         "pool_seconds": round(t_pool, 4),
         "cache_warm_seconds": round(t_warm, 4),
@@ -100,11 +68,19 @@ def main(argv: list[str] | None = None) -> int:
             for t in timings
         ],
     }
-    Path(args.output).write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {args.output}: pool speedup {record['pool_speedup']}x, "
-          f"cache speedup {record['cache_speedup']}x on {record['cpus']} cpu(s)",
-          file=sys.stderr)
-    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = parser(__doc__, "BENCH_parallel_pool.json", check=False)
+    ap.add_argument("--quick", action="store_true",
+                    help="4 seeds x 3 MTTIs instead of 32 x 50, for smoke runs")
+    ap.add_argument("--jobs", type=int, default=0,
+                    help="pool width (default 0 = one per core)")
+    args = ap.parse_args(argv)
+    if args.jobs < 0:
+        ap.error("--jobs must be >= 0 (0 = one per core)")
+    jobs = resolve_jobs(args.jobs if args.jobs > 0 else None)
+    return run(args, lambda: measure(args.quick, jobs))
 
 
 if __name__ == "__main__":

@@ -21,26 +21,22 @@ Measures, on the same payloads:
         -o /tmp/smoke.json                                            # smoke
     PYTHONPATH=src python benchmarks/record_runtime.py --check        # CI gate
 
-Every run (record, ``--quick`` and ``--check``) fails (exit 1) when the
-dense lz4 speedup is below 2x or the drain reaches less than 0.4 of its
-bound.  ``--check`` also fails if either fell below 80% of the recorded
-value.  Both are ratios of measurements taken in the same run, so the
-gates hold across machines of different absolute speed.
+Every run fails (exit 1) when the dense lz4 speedup is below 2x or the
+drain reaches less than 0.4 of its bound; ``--check`` also fails if
+either fell below 80% of the recorded value (see ``GATES``).  Both are
+ratios of measurements taken in the same run, so the gates hold across
+machines of different absolute speed.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
+from recorder import Gate, log, parser, run, timed
 from repro.compression import lz4
 from repro.compression.codecs import fast_lz4_codec
 from repro.compression.delta import zero_rle, zero_rle_ref
@@ -50,23 +46,14 @@ from repro.ckpt.ndp_daemon import NDPDrainDaemon
 from repro.ckpt.restart import recover
 from repro.workloads import calibrated_app
 
-#: Hard floors checked on every run: the dense kernel's speedup over the
-#: reference scanner, and the drain's fraction of its drain-rate bound.
-DENSE_SPEEDUP_FLOOR = 2.0
-BOUND_FRACTION_FLOOR = 0.4
+GATES = (
+    Gate("lz4 dense speedup", "lz4_aggregate.dense_speedup", limit=2.0, factor=0.8),
+    Gate("drain bound fraction", "drain.bound_fraction", limit=0.4, factor=0.8),
+)
 
+APP_ID = "bench"
 APPS = ("CoMD", "HPCCG", "miniFE", "miniMD", "miniSMAC2D", "miniAero", "pHPCCG")
 QUICK_APPS = ("HPCCG", "miniMD")
-
-
-def _timed(fn, *args):
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return out, time.perf_counter() - t0
-
-
-def _log(msg: str) -> None:
-    print(msg, file=sys.stderr)
 
 
 def _synthetics(size: int) -> dict[str, bytes]:
@@ -94,9 +81,9 @@ def bench_lz4(payloads: dict[str, bytes]) -> tuple[list[dict], dict]:
     rows = []
     tot_bytes = tot_ref = tot_exact = tot_dense = 0.0
     for name, data in payloads.items():
-        ref_out, t_ref = _timed(lz4.compress_ref, data)
-        exact_out, t_exact = _timed(lz4.compress, data)
-        dense_out, t_dense = _timed(lz4.compress_dense, data)
+        ref_out, t_ref = timed(lz4.compress_ref, data)
+        exact_out, t_exact = timed(lz4.compress, data)
+        dense_out, t_dense = timed(lz4.compress_dense, data)
         if exact_out != ref_out:
             raise SystemExit(f"FATAL: {name}: vectorized exact kernel diverges")
         if dense_out != lz4.compress_dense_ref(data):
@@ -114,10 +101,10 @@ def bench_lz4(payloads: dict[str, bytes]) -> tuple[list[dict], dict]:
             "factor_ref": round(1 - len(ref_out) / len(data), 4),
             "factor_dense": round(1 - len(dense_out) / len(data), 4),
         })
-        _log(f"  lz4 {name:12s} {len(data) / 1e6:6.2f} MB  "
-             f"ref {len(data) / t_ref / 1e6:6.2f} MB/s  "
-             f"dense {len(data) / t_dense / 1e6:6.2f} MB/s  "
-             f"({t_ref / t_dense:4.1f}x)")
+        log(f"  lz4 {name:12s} {len(data) / 1e6:6.2f} MB  "
+            f"ref {len(data) / t_ref / 1e6:6.2f} MB/s  "
+            f"dense {len(data) / t_dense / 1e6:6.2f} MB/s  "
+            f"({t_ref / t_dense:4.1f}x)")
         tot_bytes += len(data)
         tot_ref += t_ref
         tot_exact += t_exact
@@ -142,12 +129,12 @@ def bench_zero_rle(payloads: dict[str, bytes]) -> dict:
     mask = rng.random(len(arr)) < 0.97
     arr[mask] = 0
     delta = arr.tobytes()
-    ref_out, t_ref = _timed(zero_rle_ref, delta)
-    fast_out, t_fast = _timed(zero_rle, delta)
+    ref_out, t_ref = timed(zero_rle_ref, delta)
+    fast_out, t_fast = timed(zero_rle, delta)
     if fast_out != ref_out:
         raise SystemExit("FATAL: vectorized zero_rle diverges from reference")
-    _log(f"  zero_rle {len(delta) / 1e6:.2f} MB  ref {len(delta) / t_ref / 1e6:.2f} MB/s  "
-         f"fast {len(delta) / t_fast / 1e6:.2f} MB/s  ({t_ref / t_fast:.1f}x)")
+    log(f"  zero_rle {len(delta) / 1e6:.2f} MB  ref {len(delta) / t_ref / 1e6:.2f} MB/s  "
+        f"fast {len(delta) / t_fast / 1e6:.2f} MB/s  ({t_ref / t_fast:.1f}x)")
     return {
         "size": len(delta),
         "ref_seconds": round(t_ref, 4),
@@ -156,24 +143,29 @@ def bench_zero_rle(payloads: dict[str, bytes]) -> dict:
     }
 
 
-def _drain_once(payloads: dict[int, bytes], root: Path, codec,
-                throttle_bps: float) -> tuple[float, dict[int, bytes], NDPDrainDaemon]:
-    app_id = "bench"
+def _drain_once(payloads: dict[int, bytes], root: Path,
+                throttle_bps: float) -> tuple[float, NDPDrainDaemon, IOStore]:
+    """Drain one checkpoint of ``payloads`` (rank -> bytes) with the dense
+    codec from a local store under ``root`` into an I/O store under it,
+    throttled to ``throttle_bps``.
+
+    Returns the drain's wall time, its daemon (for ``stats``) and the
+    I/O store holding the drained checkpoint of app ``APP_ID``.
+    """
     local = LocalStore(root / "local", capacity=4)
     io = IOStore(root / "io", throttle_bps=throttle_bps)
     files = {
-        rank: (make_header(app_id, rank, 1, data, position=1.0), data)
+        rank: (make_header(APP_ID, rank, 1, data, position=1.0), data)
         for rank, data in payloads.items()
     }
-    local.write_checkpoint(app_id, 1, files)
-    daemon = NDPDrainDaemon(app_id, local, io, codec=codec)
+    local.write_checkpoint(APP_ID, 1, files)
+    daemon = NDPDrainDaemon(APP_ID, local, io, codec=fast_lz4_codec())
     t0 = time.perf_counter()
     daemon._drain_one(1)
     dt = time.perf_counter() - t0
     if daemon.stats.checkpoints_drained != 1:
         raise SystemExit("FATAL: drain did not complete")
-    restored = recover(app_id, [io]).payloads
-    return dt, restored, daemon
+    return dt, daemon, io
 
 
 def bench_drain(payloads: dict[str, bytes], quick: bool) -> dict:
@@ -185,9 +177,9 @@ def bench_drain(payloads: dict[str, bytes], quick: bool) -> dict:
     total = sum(len(p) for p in ranks.values())
     throttle = 4e6 if quick else 8e6
     with tempfile.TemporaryDirectory() as d:
-        t, restored, daemon = _drain_once(ranks, Path(d), fast_lz4_codec(), throttle)
-    if restored != ranks:
-        raise SystemExit("FATAL: drained checkpoint does not restore to original state")
+        t, daemon, io = _drain_once(ranks, Path(d), throttle)
+        if recover(APP_ID, [io]).payloads != ranks:
+            raise SystemExit("FATAL: drained checkpoint does not restore to original state")
     st = daemon.stats
     # Both bound terms in uncompressed bytes/s: the throttled write scaled
     # by the achieved factor, and the compressor's input rate.
@@ -195,9 +187,9 @@ def bench_drain(payloads: dict[str, bytes], quick: bool) -> dict:
     compress_term = st.bytes_in / st.compress.seconds
     bound = min(io_term, compress_term)
     fraction = total / t / bound
-    _log(f"  drain {total / 1e6:.2f} MB  {total / t / 1e6:.2f} MB/s  "
-         f"bound {bound / 1e6:.2f} MB/s (io {io_term / 1e6:.2f}, "
-         f"compress {compress_term / 1e6:.2f})  fraction {fraction:.2f}")
+    log(f"  drain {total / 1e6:.2f} MB  {total / t / 1e6:.2f} MB/s  "
+        f"bound {bound / 1e6:.2f} MB/s (io {io_term / 1e6:.2f}, "
+        f"compress {compress_term / 1e6:.2f})  fraction {fraction:.2f}")
     return {
         "ranks": len(ranks),
         "bytes_in": total,
@@ -215,76 +207,27 @@ def bench_drain(payloads: dict[str, bytes], quick: bool) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="small corpus (2 apps, 256 KiB synthetics) for smoke runs")
-    ap.add_argument("--check", action="store_true",
-                    help="compare against the recorded baseline instead of overwriting")
-    ap.add_argument("--tolerance", type=float, default=0.8,
-                    help="--check passes while both gated numbers stay above this "
-                         "fraction of the recorded ones (default 0.8 = fail on >20%% "
-                         "regression)")
-    ap.add_argument("-o", "--output", default="BENCH_runtime_throughput.json",
-                    help="baseline JSON path")
-    args = ap.parse_args(argv)
-
-    payloads = _corpus(args.quick)
-    _log(f"corpus: {len(payloads)} payloads, "
-         f"{sum(len(p) for p in payloads.values()) / 1e6:.1f} MB total")
+def measure(quick: bool) -> dict:
+    payloads = _corpus(quick)
+    log(f"corpus: {len(payloads)} payloads, "
+        f"{sum(len(p) for p in payloads.values()) / 1e6:.1f} MB total")
     lz4_rows, lz4_aggregate = bench_lz4(payloads)
-    rle = bench_zero_rle(payloads)
-    drain = bench_drain(payloads, args.quick)
-
-    record = {
+    return {
         "benchmark": "checkpoint data path: lz4 kernels, zero_rle, NDP drain vs its bound",
-        "quick": args.quick,
-        "cpus": os.cpu_count(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
+        "quick": quick,
         "lz4": lz4_rows,
         "lz4_aggregate": lz4_aggregate,
-        "zero_rle": rle,
-        "drain": drain,
+        "zero_rle": bench_zero_rle(payloads),
+        "drain": bench_drain(payloads, quick),
     }
 
-    # (label, section, key, hard floor) of each gated headline number.
-    gates = (
-        ("lz4 dense speedup", "lz4_aggregate", "dense_speedup", DENSE_SPEEDUP_FLOOR),
-        ("drain bound fraction", "drain", "bound_fraction", BOUND_FRACTION_FLOOR),
-    )
-    failures = []
-    for label, section, key, floor in gates:
-        got = record[section][key]
-        status = "ok" if got >= floor else "BELOW FLOOR"
-        _log(f"  floor {label}: {got} (hard floor {floor}) {status}")
-        if got < floor:
-            failures.append(label)
 
-    if args.check:
-        path = Path(args.output)
-        if not path.exists():
-            _log(f"FATAL: --check needs a recorded baseline at {path}")
-            return 1
-        baseline = json.loads(path.read_text())
-        for label, section, key, _ in gates:
-            got, ref = record[section][key], baseline[section][key]
-            floor = args.tolerance * ref
-            status = "ok" if got >= floor else "REGRESSION"
-            _log(f"  check {label}: {got} vs recorded {ref} (floor {floor:.2f}) {status}")
-            if got < floor:
-                failures.append(label)
-
-    if failures:
-        _log(f"FAIL: {', '.join(failures)}")
-        return 1
-    if args.check:
-        _log("check passed: no throughput regression")
-        return 0
-    Path(args.output).write_text(json.dumps(record, indent=1) + "\n")
-    _log(f"wrote {args.output}: dense lz4 {lz4_aggregate['dense_speedup']}x, "
-         f"drain at {drain['bound_fraction']} of its bound")
-    return 0
+def main(argv: list[str] | None = None) -> int:
+    ap = parser(__doc__, "BENCH_runtime_throughput.json")
+    ap.add_argument("--quick", action="store_true",
+                    help="small corpus (2 apps, 256 KiB synthetics) for smoke runs")
+    args = ap.parse_args(argv)
+    return run(args, lambda: measure(args.quick), GATES)
 
 
 if __name__ == "__main__":

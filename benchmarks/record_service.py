@@ -15,12 +15,12 @@ workload:
   start, so every hit reported was earned within the run).
 
 Recorded: requests/s, p50/p99 latency, coalesce rate, cache hit rate,
-mean fused fast-batch size, and the speedup.  The regression gate
-(``make bench-service``) re-measures and fails if the speedup drops
-below the hard floor (3x full mode, 1.5x ``--quick``) or regresses more
-than the tolerance vs the recording.
+mean fused fast-batch size, and the speedup.  Every run fails if the
+speedup is below the hard floor (3x full mode, 1.5x ``--quick``);
+``--check`` (``make bench-service``) also fails if it fell below 60% of
+the recording (see ``gates``).
 
-Three further legs ride along (recorded and gated the same way):
+Three further legs ride along, each failing the run on its own bound:
 
 * **overload** — heavy requests at several times the single-slot
   capacity, with and without the admission controller.  Gate: with
@@ -51,16 +51,17 @@ in-process evaluation — the service-level determinism contract.
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from recorder import Gate, parser, run  # noqa: E402
 from repro.service import (  # noqa: E402
     BackgroundServer,
     ServiceClient,
@@ -77,11 +78,10 @@ from repro.simulation import ResultCache, simulate  # noqa: E402
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 
-#: Hard speedup floors (batched+coalesced vs naive) by mode.
-FLOOR_FULL = 3.0
-FLOOR_QUICK = 1.5
-#: --check fails if the speedup falls below tolerance * recorded value.
-TOLERANCE = 0.6
+
+def gates(quick: bool) -> tuple[Gate, ...]:
+    """Batched+coalesced over naive throughput."""
+    return (Gate("speedup", "speedup", limit=1.5 if quick else 3.0, factor=0.6),)
 
 
 def zipf_indices(n_items: int, n_draws: int, *, s: float = 1.1, seed: int = 7) -> list[int]:
@@ -631,49 +631,19 @@ def smoke(port: int = 0) -> int:
     return 0
 
 
+def benchmark(quick: bool) -> dict:
+    with tempfile.TemporaryDirectory(prefix="repro-service-bench-") as tmp:
+        return run_benchmark(quick, Path(tmp) / "cache")
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--check", action="store_true", help="regression-gate mode")
+    ap = parser(__doc__, str(DEFAULT_OUT))
     ap.add_argument("--quick", action="store_true", help="tiny CI-sized workload")
     ap.add_argument("--smoke", action="store_true", help="boot + burst + metrics check")
-    ap.add_argument("-o", "--output", type=Path, default=DEFAULT_OUT)
     args = ap.parse_args(argv)
-
     if args.smoke:
         return smoke()
-
-    import tempfile
-
-    with tempfile.TemporaryDirectory(prefix="repro-service-bench-") as tmp:
-        record = run_benchmark(args.quick, Path(tmp) / "cache")
-
-    floor = FLOOR_QUICK if args.quick else FLOOR_FULL
-    if record["speedup"] < floor:
-        print(
-            f"FAIL: speedup {record['speedup']:.2f}x below the {floor}x floor",
-            file=sys.stderr,
-        )
-        return 1
-
-    if args.check and args.output.exists():
-        prior = json.loads(args.output.read_text())
-        bar = TOLERANCE * prior["speedup"]
-        if record["speedup"] < bar:
-            print(
-                f"FAIL: speedup {record['speedup']:.2f}x regressed below "
-                f"{TOLERANCE:.0%} of the recorded {prior['speedup']:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"ok: {record['speedup']:.2f}x vs recorded {prior['speedup']:.2f}x "
-            f"(floor {floor}x)"
-        )
-        return 0
-
-    args.output.write_text(json.dumps(record, indent=1))
-    print(f"wrote {args.output}")
-    return 0
+    return run(args, lambda: benchmark(args.quick), gates(args.quick))
 
 
 if __name__ == "__main__":

@@ -432,7 +432,9 @@ class ServiceServer:
 
     def _stats_payload(self) -> dict:
         """This process's stats, plus — under a prefork supervisor —
-        every sibling's last published snapshot as a ``workers`` list.
+        every sibling's last published snapshot as a ``workers`` list
+        and, once a worker has crashed, the supervisor's ``restarts`` and
+        ``gave_up`` slots as ``supervisor``.
 
         SO_REUSEPORT means a scrape lands on whichever worker the kernel
         picks; merging the published files makes any worker's answer
@@ -452,6 +454,11 @@ class ServiceServer:
                 continue  # sibling mid-replace or gone; skip this scrape
         workers.sort(key=lambda w: w.get("worker", -1))
         out["workers"] = workers
+        try:
+            out["supervisor"] = json.loads(
+                (Path(self.config.stats_dir) / "supervisor.json").read_text())
+        except (OSError, json.JSONDecodeError):
+            pass  # no crash yet: the supervisor has published nothing
         return out
 
     # -- HTTP framing ----------------------------------------------------------

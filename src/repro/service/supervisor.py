@@ -41,7 +41,9 @@ The parent restarts crashed workers (same index, same socket) until
 in-flight requests, never the service.  Respawns of one slot back off
 exponentially, and a slot that crashes :data:`MAX_CONSECUTIVE_CRASHES`
 times in a row is left dead (``WorkerSupervisor.gave_up``) instead of
-crash-looping.
+crash-looping.  On every crash the parent writes ``supervisor.json``
+(``restarts`` and the sorted ``gave_up`` slots) into ``stats_dir``, so
+any surviving worker's ``/stats`` reports it.
 
 Determinism is untouched: workers share the on-disk
 :class:`~repro.simulation.pool.ResultCache` (atomic, multi-writer-safe
@@ -53,6 +55,7 @@ multi-process byte identity.
 
 from __future__ import annotations
 
+import json
 import multiprocessing as mp
 import os
 import signal
@@ -60,6 +63,7 @@ import socket
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 from tempfile import mkdtemp
 
 from .server import ServiceConfig, serve
@@ -230,9 +234,21 @@ class WorkerSupervisor:
         self._workers[index] = None
         if self._crashes[index] >= MAX_CONSECUTIVE_CRASHES:
             self.gave_up.add(index)
-            return
-        delay = RESPAWN_BACKOFF * 2 ** (self._crashes[index] - 1)
-        self._respawn_at[index] = now + min(delay, RESPAWN_BACKOFF_CAP)
+        else:
+            delay = RESPAWN_BACKOFF * 2 ** (self._crashes[index] - 1)
+            self._respawn_at[index] = now + min(delay, RESPAWN_BACKOFF_CAP)
+        self._publish_state()
+
+    def _publish_state(self) -> None:
+        """Atomically write ``supervisor.json`` into ``stats_dir``."""
+        d = Path(self.stats_dir)
+        tmp = d / f".supervisor.json.{os.getpid()}.tmp"
+        state = {"restarts": self.restarts, "gave_up": sorted(self.gave_up)}
+        try:
+            tmp.write_text(json.dumps(state))
+            tmp.replace(d / "supervisor.json")
+        except OSError:
+            pass  # stats publication must never take the supervisor down
 
     def _monitor(self) -> None:
         """Restart crashed workers until the supervisor stops.

@@ -35,13 +35,13 @@ Exactness contract (the DES stays the reference oracle): ``host``,
 *exactly* — every failure lands on the same schedule, consumes the same
 RNG draws and produces the same seven-way accounting, up to
 float-association noise (closed-form ``p0 + k*tau`` versus the DES's
-sequential adds).  ``ndp`` follows the same op-for-op schedule; the only
-freedom left is sub-ulp association in the drain-progress arithmetic
+sequential adds).  ``ndp`` follows the same op-for-op schedule and
+returns the DES's exact result at every ``nvm_capacity`` but 1.  At
+capacity 1 the sub-ulp association in the drain-progress arithmetic
 (the walker subtracts per segment where the DES subtracts per contiguous
-unpaused span), which can flip a comparison only when a failure lands
-within one ulp of a drain boundary — the matched-seed suite in
-``tests/simulation/test_fastpath.py`` pins >= 80% bit-exact seeds and
-paired-CI agreement on the rest.
+unpaused span) leaves last-ulp differences in the stall and breakdown
+floats, with every counter equal — the matched-seed suite in
+``tests/simulation/test_fastpath.py`` pins both.
 
 RNG stream compatibility: each trajectory draws from the same named
 :class:`~repro.simulation.rng.StreamFactory` streams as the DES

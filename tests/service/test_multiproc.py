@@ -124,6 +124,38 @@ class TestCrashLoop:
             assert sup.worker_pids() == []
         assert time.monotonic() - t0 < 10.0
 
+    def test_stats_report_the_slot_given_up(self, monkeypatch, tmp_path):
+        """Slot 1 comes up once and then crash-loops; /stats, answered by
+        the surviving slot 0, reports it under ``supervisor.gave_up``."""
+        marker = tmp_path / "slot-1-ran"
+        real_main = supervisor._worker_main
+
+        def slot_one_crashes(config, sock, ready):
+            if config.worker_index != 1:
+                return real_main(config, sock, ready)
+            if not marker.exists():
+                marker.touch()
+                ready.set()
+            os._exit(3)
+
+        monkeypatch.setattr(supervisor, "_worker_main", slot_one_crashes)
+        monkeypatch.setattr(supervisor, "RESPAWN_BACKOFF", 0.02)
+        with WorkerSupervisor(ServiceConfig(port=0, jobs=1), procs=2) as sup:
+            with ServiceClient("127.0.0.1", sup.port) as c:
+
+                def stats():
+                    return json.loads(c.get_raw("/stats"))
+
+                assert _wait_until(
+                    lambda: stats().get("supervisor", {}).get("gave_up") == [1],
+                    timeout=10.0)
+                snap = stats()
+        assert snap["worker"] == 0
+        assert snap["supervisor"] == {
+            "restarts": supervisor.MAX_CONSECUTIVE_CRASHES - 1,
+            "gave_up": [1],
+        }
+
 
 class TestObservability:
     def test_metrics_carry_worker_label(self):
