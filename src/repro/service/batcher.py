@@ -23,6 +23,13 @@ resolves the hits, runs only the misses, and writes them back with one
 ``put_many`` in the same executor call.  The runner itself never sees
 the cache, so every row costs exactly one lookup.
 
+Attribution: every stage of a job (``window``, ``cache_probe``, which
+also resolves a hit, ``compute`` or ``expired``) is written once, by
+:meth:`StageRecord.stage`: onto the submitting request's flight record,
+where ``server_timing`` is computed from, and as a ``batcher`` span when
+the job is traced.  Only the batch leader's ``compute`` span is opened
+in the executor instead, so the pool chunks nest below it.
+
 Determinism is the invariant the tests pin: batch composition never
 changes results — every config owns its seed's RNG streams, so a fused
 response is bit-identical to a serial one.
@@ -50,13 +57,13 @@ from typing import Callable, Sequence
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from ..obs.flight import current_request
 from ..simulation.pool import ResultCache, config_key
 from ..simulation.simulator import SimConfig
 from ..simulation.stats import SimulationResult
-from . import timing as req_timing
 from .protocol import QoS
 
-__all__ = ["Batcher", "BatchStats", "DeadlineExceeded", "Overloaded"]
+__all__ = ["Batcher", "BatchStats", "DeadlineExceeded", "Overloaded", "StageRecord"]
 
 
 class DeadlineExceeded(Exception):
@@ -122,16 +129,45 @@ class BatchStats:
         return self.batched_jobs / self.batches if self.batches else 0.0
 
 
+class StageRecord:
+    """Where one job's time went, written once per stage: onto the
+    submitting request's flight record and, when traced, as a span."""
+
+    __slots__ = ("ctx", "times")
+
+    def __init__(self) -> None:
+        #: The submitting request's innermost open span (``None`` when
+        #: untraced): the job's spans hang off it.
+        self.ctx = obs_trace.current_context()
+        request = current_request()
+        self.times = request.new_job() if request is not None else None
+
+    def stage(
+        self,
+        name: str,
+        t0: float,
+        t1: float,
+        *,
+        resolved: bool = False,
+        span: bool = True,
+        **span_fields: object,
+    ) -> None:
+        """Record stage ``name`` over ``[t0, t1]`` on the loop clock;
+        ``resolved`` marks ``t1`` as when the job was answered.
+        ``span=False`` is for a stage whose real span is opened elsewhere."""
+        if self.times is not None:
+            self.times[name] = t1 - t0
+            if resolved:
+                self.times["resolved"] = t1
+        if span and self.ctx is not None and obs_trace.enabled():
+            obs_trace.emit("batcher", t0, t1, name, ctx=self.ctx, **span_fields)
+
+
 @dataclass
 class _Job:
     config: SimConfig
     future: asyncio.Future
-    #: Request-tree context captured at submit (the submitting request's
-    #: innermost open span) — the batcher's per-job spans hang off it.
-    ctx: "obs_trace.TraceContext | None" = None
-    #: Per-job latency-attribution record on the submitting request
-    #: (``None`` when no request timing is active).
-    rec: dict | None = None
+    stages: StageRecord
     #: Enqueue time on the loop clock (filled at submit).
     enqueued: float = 0.0
     #: Absolute deadline on the loop clock (``inf`` = no deadline).
@@ -291,15 +327,12 @@ class Batcher:
         job = _Job(
             config=config,
             future=loop.create_future(),
-            ctx=obs_trace.current_context(),
-            rec=req_timing.job_record(),
+            stages=StageRecord(),
             enqueued=now,
             deadline=now + qos.deadline_s if qos.deadline_s is not None else math.inf,
             priority=qos.priority,
             seq=self._seq,
         )
-        if job.rec is not None:
-            job.rec["enqueued"] = job.enqueued
         self._queue.append(job)
         self.stats.submitted += 1
         _QUEUE_DEPTH.set(len(self._queue))
@@ -320,10 +353,7 @@ class Batcher:
             if job.deadline < now:
                 self.stats.expired += 1
                 _EXPIRED.inc()
-                if job.ctx is not None and obs_trace.enabled():
-                    obs_trace.emit(
-                        "batcher", job.enqueued, now, "expired", ctx=job.ctx
-                    )
+                job.stages.stage("expired", job.enqueued, now)
                 if not job.future.done():
                     job.future.set_exception(
                         DeadlineExceeded(
@@ -384,15 +414,11 @@ class Batcher:
         """Answer one drained window: probe, compute the misses, write back."""
         loop = asyncio.get_running_loop()
         cache = self.cache
-        # Batch-window attribution: enqueue -> dispatch actually
-        # starting (bounded delay + any wait behind max_inflight).
+        # Batch window: enqueue -> dispatch actually starting (bounded
+        # delay + any wait behind max_inflight).
         t_start = loop.time()
-        traced = obs_trace.enabled()
         for job in jobs:
-            if job.rec is not None:
-                job.rec["window"] = t_start - job.enqueued
-            if traced and job.ctx is not None:
-                obs_trace.emit("batcher", job.enqueued, t_start, "window", ctx=job.ctx)
+            job.stages.stage("window", job.enqueued, t_start)
         keys: list[str] = []
         if cache is not None:
             # Miss-only slicing: hash each job once and probe the cache
@@ -405,19 +431,12 @@ class Batcher:
             tp0 = loop.time()
             keys, hits = await loop.run_in_executor(self._executor, _probe)
             tp1 = loop.time()
-            for job in jobs:
-                if job.rec is not None:
-                    job.rec["probe"] = tp1 - tp0
-                if traced and job.ctx is not None:
-                    obs_trace.emit("batcher", tp0, tp1, "cache_probe", ctx=job.ctx)
+            for job, key in zip(jobs, keys):
+                job.stages.stage("cache_probe", tp0, tp1, resolved=key in hits)
+                if key in hits and not job.future.done():
+                    job.future.set_result(hits[key])
             if hits:
                 misses = [i for i, key in enumerate(keys) if key not in hits]
-                for job, key in zip(jobs, keys):
-                    if key in hits:
-                        if job.rec is not None:
-                            job.rec["resolved"] = tp1
-                        if not job.future.done():
-                            job.future.set_result(hits[key])
                 n_hits = len(jobs) - len(misses)
                 _CACHE_SLICED.inc(n_hits)
                 self.stats.cache_hits += n_hits
@@ -433,8 +452,8 @@ class Batcher:
         # fastpath groups below it join the leader's tree; every
         # other rider records a reference interval linking it.
         lead_ctx = (
-            next((j.ctx for j in jobs if j.ctx is not None), None)
-            if traced
+            next((j.stages.ctx for j in jobs if j.stages.ctx is not None), None)
+            if obs_trace.enabled()
             else None
         )
         compute_ctx: list[str | None] = [None]
@@ -462,20 +481,14 @@ class Batcher:
             results = await loop.run_in_executor(self._executor, _run)
         finally:
             t1 = loop.time()
+            shared = compute_ctx[0]
             for job in jobs:
-                if job.rec is not None:
-                    job.rec["compute"] = t1 - t0
-                    job.rec["resolved"] = t1
-            if traced:
-                shared = compute_ctx[0]
-                for job in jobs:
-                    if job.ctx is not None and job.ctx is not lead_ctx:
-                        obs_trace.emit(
-                            "batcher", t0, t1, "compute", label="shared",
-                            attrs={"jobs": len(configs)},
-                            ctx=job.ctx,
-                            links=[shared] if shared else None,
-                        )
+                job.stages.stage(
+                    "compute", t0, t1, resolved=True,
+                    span=job.stages.ctx is not lead_ctx,
+                    label="shared", attrs={"jobs": len(configs)},
+                    links=[shared] if shared else None,
+                )
             # Admission control's service-time signal: EWMA over
             # dispatched batches (0.3 keeps it responsive to load
             # shifts without chattering on one slow batch).

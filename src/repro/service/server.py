@@ -1,9 +1,11 @@
 """Asyncio HTTP/JSON server for the capacity-planning service.
 
-Hand-rolled HTTP/1.1 over ``asyncio.start_server`` — no framework, no
-third-party deps — with persistent connections (keep-alive matters: the
-closed-loop load generator reuses sockets, and per-request TCP setup
-would dominate at millisecond service times).
+Routes, stats and lifecycle over ``asyncio.start_server``, with
+persistent connections (keep-alive matters: the closed-loop load
+generator reuses sockets, and per-request TCP setup would dominate at
+millisecond service times).  The HTTP/1.1 framing — parsing, response
+rendering, chunked streaming and the exception-to-status mapping — is
+:mod:`~repro.service.http`.
 
 Endpoints (see ``docs/SERVICE.md`` for the full schema):
 
@@ -23,6 +25,12 @@ Every simulate row takes one path: protocol -> coalescer -> batcher
 back) -> :func:`~repro.simulation.pool.run_simulations` with no cache ->
 ``simulate_batch``.
 
+Every request has one :class:`~repro.obs.flight.RequestRecord`, opened
+at ingress, current for the request's extent, and finished in a
+``finally`` whatever the outcome (a client that resets mid-response is
+recorded as 499).  The batcher writes each job's stages onto it, and the
+record turns them into the ``server_timing`` breakdown.
+
 Shared state is the point: one :class:`~repro.simulation.pool.ResultCache`,
 one optimizer memo, one metrics registry across every client.
 """
@@ -39,21 +47,31 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, AsyncIterator, Sequence
+from typing import Any, AsyncGenerator, Sequence
 from urllib.parse import parse_qs
 
 from ..core.optimizer import optimal_host
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..obs.flight import FlightRecorder
+from ..obs.flight import FlightRecorder, RequestRecord
 from ..obs.slo import SLOTarget, SLOTracker
 from ..simulation.batch import _t95
 from ..simulation.pool import ResultCache, config_key, run_simulations
 from ..simulation.simulator import SimConfig
 from ..simulation.stats import SimulationResult
-from . import timing as req_timing
-from .batcher import Batcher, DeadlineExceeded, Overloaded
+from .batcher import Batcher, StageRecord
 from .coalescer import Coalescer
+from .http import (
+    CLIENT_CLOSED,
+    MAX_HEADER_BYTES,
+    HttpError,
+    StreamBody,
+    clean_trace_id,
+    error_status,
+    head,
+    read_request,
+    write_stream,
+)
 from .protocol import (
     ProtocolError,
     QoS,
@@ -69,29 +87,14 @@ from .protocol import (
 
 __all__ = ["BackgroundServer", "ServiceConfig", "ServiceServer", "serve"]
 
-_MAX_HEADER_BYTES = 64 * 1024
-_MAX_BODY_BYTES = 16 * 1024 * 1024
-
-_TRACE_ID_CHARS = frozenset("0123456789abcdefABCDEF-")
-
-
-def _clean_trace_id(raw: str | None) -> str | None:
-    """A client-supplied ``X-Repro-Trace`` id, sanitized: hex digits and
-    dashes only, bounded length (it lands in JSONL traces and response
-    headers, so arbitrary bytes are rejected rather than escaped)."""
-    if not raw:
-        return None
-    raw = raw.strip()
-    if 1 <= len(raw) <= 64 and set(raw) <= _TRACE_ID_CHARS:
-        return raw.lower()
-    return None
-
 _REQUESTS = obs_metrics.REGISTRY.counter(
     "service_requests_total", "HTTP requests served, by endpoint and status"
 )
 _REQUEST_SECONDS = obs_metrics.REGISTRY.histogram(
     "service_request_seconds", "request wall time, by endpoint"
 )
+#: Load-control statuses, by the SLO rejection kind that caused them.
+_LOAD_CONTROL = {503: "shed", 504: "expired"}
 
 
 @dataclass(frozen=True)
@@ -164,14 +167,6 @@ class ServiceConfig:
     reuse_port: bool = False
     worker_index: int | None = None
     stats_dir: str | None = None
-
-
-@dataclass
-class _StreamBody:
-    """A chunked NDJSON response body (the streaming sweep)."""
-
-    gen: AsyncIterator[bytes]
-    content_type: str = "application/x-ndjson"
 
 
 class ServiceServer:
@@ -262,12 +257,12 @@ class ServiceServer:
             cell["results"] = [result_to_json(r) for r in per_seed]
         return cell
 
-    async def _handle_sweep(self, body: Any) -> "dict | _StreamBody":
+    async def _handle_sweep(self, body: Any) -> "dict | StreamBody":
         qos, body = qos_from_json(body)
         rows, n_cells, n_seeds = sweep_rows_from_json(body)
         detail = bool(body.get("detail", False))
         if bool(body.get("stream", False)):
-            return _StreamBody(
+            return StreamBody(
                 self._sweep_stream(rows, n_cells, n_seeds, detail, qos)
             )
         results = await asyncio.gather(*(self._simulate(cfg, qos) for cfg in rows))
@@ -284,7 +279,7 @@ class ServiceServer:
         n_seeds: int,
         detail: bool,
         qos: QoS | None,
-    ) -> AsyncIterator[bytes]:
+    ) -> AsyncGenerator[bytes, None]:
         """NDJSON sweep body: a header line, then one line per cell.
 
         Every row is submitted up front (fusion across the whole grid is
@@ -341,8 +336,7 @@ class ServiceServer:
 
         async def _start() -> dict:
             loop = asyncio.get_running_loop()
-            ctx = obs_trace.current_context()
-            rec = req_timing.job_record()
+            job = StageRecord()
             t0 = loop.time()
 
             def _blocking():
@@ -350,15 +344,13 @@ class ServiceServer:
                 # every request warms it for every later request.  The
                 # request context is handed across the executor boundary
                 # explicitly (run_in_executor does not copy contextvars).
-                with obs_trace.use_context(ctx):
+                with obs_trace.use_context(job.ctx):
                     with obs_trace.span("optimizer", "compute", label=accounting):
                         return optimal_host(params, compression, accounting)
 
             result = await loop.run_in_executor(None, _blocking)
-            if rec is not None:
-                t1 = loop.time()
-                rec["compute"] = t1 - t0
-                rec["resolved"] = t1
+            # Its real span is the executor-side one above.
+            job.stage("compute", t0, loop.time(), resolved=True, span=False)
             return model_result_to_json(result)
 
         if not self.config.coalesce:
@@ -461,170 +453,58 @@ class ServiceServer:
             pass  # no crash yet: the supervisor has published nothing
         return out
 
-    # -- HTTP framing ----------------------------------------------------------
+    # -- routes ----------------------------------------------------------------
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str], bytes] | None:
-        """One request off the wire, or ``None`` on a clean EOF."""
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None
-            raise _HttpError(400, "truncated request head") from exc
-        except asyncio.LimitOverrunError as exc:
-            raise _HttpError(431, "request head too large") from exc
-        if len(head) > _MAX_HEADER_BYTES:
-            raise _HttpError(431, "request head too large")
-        lines = head.decode("latin-1").split("\r\n")
-        parts = lines[0].split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            raise _HttpError(400, f"malformed request line: {lines[0]!r}")
-        method, path = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, sep, value = line.partition(":")
-            if not sep:
-                raise _HttpError(400, f"malformed header: {line!r}")
-            headers[name.strip().lower()] = value.strip()
-        length = 0
-        if "content-length" in headers:
-            try:
-                length = int(headers["content-length"])
-            except ValueError:
-                raise _HttpError(400, "bad Content-Length") from None
-            if length < 0 or length > _MAX_BODY_BYTES:
-                raise _HttpError(413, "request body too large")
-        body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
-
-    _REASONS = {
-        200: "OK",
-        400: "Bad Request",
-        404: "Not Found",
-        405: "Method Not Allowed",
-        413: "Payload Too Large",
-        431: "Request Header Fields Too Large",
-        500: "Internal Server Error",
-        503: "Service Unavailable",
-        504: "Gateway Timeout",
-    }
-
-    @classmethod
-    def _head(
-        cls,
-        status: int,
-        framing: str,
-        *,
-        content_type: str,
-        keep_alive: bool,
-        trace_id: str | None,
-        extra: dict[str, str] | None = None,
-    ) -> bytes:
-        trace_hdr = f"X-Repro-Trace: {trace_id}\r\n" if trace_id else ""
-        extra_hdr = "".join(f"{k}: {v}\r\n" for k, v in (extra or {}).items())
-        return (
-            f"HTTP/1.1 {status} {cls._REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"{framing}"
-            f"{trace_hdr}"
-            f"{extra_hdr}"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            "\r\n"
-        ).encode("latin-1")
-
-    @classmethod
-    def _response(
-        cls,
-        status: int,
-        body: bytes,
-        *,
-        content_type: str = "application/json",
-        keep_alive: bool = True,
-        trace_id: str | None = None,
-        extra: dict[str, str] | None = None,
-    ) -> bytes:
-        head = cls._head(
-            status,
-            f"Content-Length: {len(body)}\r\n",
-            content_type=content_type,
-            keep_alive=keep_alive,
-            trace_id=trace_id,
-            extra=extra,
-        )
-        return head + body
-
-    @staticmethod
-    def _chunk(data: bytes) -> bytes:
-        """One HTTP/1.1 chunked-transfer frame."""
-        return f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n"
-
-    def _handle_debug(self, path: str, query: str) -> tuple[int, bytes, str]:
+    def _handle_debug(self, path: str, query: str) -> tuple[int, dict]:
         """The flight-recorder endpoints (always on, allocation-bounded)."""
         if path == "/debug/requests":
             params = parse_qs(query)
             try:
                 n = int(params.get("n", ["20"])[0])
             except ValueError:
-                return 400, canonical_dumps({"error": "n must be an integer"}), "application/json"
+                return 400, {"error": "n must be an integer"}
             slowest = params.get("sort", [""])[0] == "slowest"
-            return (
-                200,
-                canonical_dumps(
-                    {"requests": self.flight.requests(n, slowest=slowest)}
-                ),
-                "application/json",
-            )
+            return 200, {"requests": self.flight.requests(n, slowest=slowest)}
         if path.startswith("/debug/trace/"):
             trace_id = path[len("/debug/trace/") :]
             found = self.flight.lookup(trace_id)
             if found is None:
-                return (
-                    404,
-                    canonical_dumps({"error": f"no retained trace {trace_id!r}"}),
-                    "application/json",
-                )
-            return 200, canonical_dumps(found), "application/json"
-        return 404, canonical_dumps({"error": f"no such endpoint: {path}"}), "application/json"
+                return 404, {"error": f"no retained trace {trace_id!r}"}
+            return 200, found
+        return 404, {"error": f"no such endpoint: {path}"}
 
     async def _dispatch(
-        self, method: str, path: str, body: bytes, want_timing: bool = False
-    ) -> tuple[int, "bytes | _StreamBody", str, dict[str, float] | None, dict[str, str]]:
+        self, record: RequestRecord, method: str, path: str, body: bytes,
+        want_timing: bool = False,
+    ) -> tuple[int, "bytes | StreamBody", str, dict[str, str]]:
         """Route one request.
 
-        Returns ``(status, body, content type, timing, extra headers)``.
-        ``body`` is rendered bytes, or a :class:`_StreamBody` whose
-        NDJSON lines the connection loop writes chunked.  The timing
-        element is the six-stage ``server_timing`` breakdown for
-        successful ``/v1/*`` requests (always handed to the flight
-        recorder; embedded in the response only when the client asked
-        via ``X-Repro-Timing``), ``None`` otherwise.  Extra headers
-        carry ``Retry-After`` on admission-control 503s.
+        Returns ``(status, body, content type, extra headers)``.  ``body``
+        is rendered bytes, or a :class:`~repro.service.http.StreamBody`
+        whose NDJSON lines the connection loop writes chunked.  A
+        successful ``/v1/*`` request gets its six-stage ``server_timing``
+        on ``record`` (embedded in the response only when the client
+        asked via ``X-Repro-Timing``).  Extra headers carry
+        ``Retry-After`` on admission-control 503s.
         """
-        def _err(status: int, message: str) -> tuple:
-            return status, canonical_dumps({"error": message}), "application/json", None, {}
+        def _json(status: int, obj: Any, extra: dict | None = None) -> tuple:
+            return status, canonical_dumps(obj), "application/json", extra or {}
+
+        def _err(status: int, message: str, extra: dict | None = None) -> tuple:
+            return _json(status, {"error": message}, extra)
 
         path, _, query = path.partition("?")
-        if path == "/healthz":
+        if path in ("/healthz", "/metrics", "/stats") or path.startswith("/debug/"):
             if method != "GET":
                 return _err(405, "GET only")
-            return 200, canonical_dumps({"status": "ok"}), "application/json", None, {}
-        if path == "/metrics":
-            if method != "GET":
-                return _err(405, "GET only")
-            text = obs_metrics.REGISTRY.render_prometheus()
-            return 200, text.encode("utf-8"), "text/plain; version=0.0.4", None, {}
-        if path == "/stats":
-            if method != "GET":
-                return _err(405, "GET only")
-            return 200, canonical_dumps(self._stats_payload()), "application/json", None, {}
-        if path.startswith("/debug/"):
-            if method != "GET":
-                return _err(405, "GET only")
-            return (*self._handle_debug(path, query), None, {})
+            if path == "/metrics":
+                text = obs_metrics.REGISTRY.render_prometheus()
+                return 200, text.encode("utf-8"), "text/plain; version=0.0.4", {}
+            if path == "/healthz":
+                return _json(200, {"status": "ok"})
+            if path == "/stats":
+                return _json(200, self._stats_payload())
+            return _json(*self._handle_debug(path, query))
 
         handlers = {
             "/v1/simulate": self._handle_simulate,
@@ -636,91 +516,30 @@ class ServiceServer:
             return _err(404, f"no such endpoint: {path}")
         if method != "POST":
             return _err(405, "POST only")
-        route = path[len("/v1/") :]
-        with req_timing.activate() as rt:
-            p0 = time.monotonic()
-            try:
-                payload = json.loads(body.decode("utf-8")) if body else {}
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                return _err(400, f"invalid JSON body: {exc}")
-            p1 = time.monotonic()
-            try:
-                out = await handler(payload)
-            except ProtocolError as exc:
-                return _err(400, str(exc))
-            except DeadlineExceeded as exc:
-                # The fast 504: the scheduler failed the job before it
-                # ever reached the runner.
-                self.slo.note(route, "expired")
-                return 504, canonical_dumps({"error": str(exc)}), "application/json", None, {}
-            except Overloaded as exc:
-                self.slo.note(route, "shed")
-                return (
-                    503,
-                    canonical_dumps({"error": str(exc)}),
-                    "application/json",
-                    None,
-                    {"Retry-After": str(int(exc.retry_after))},
-                )
-            except Exception as exc:  # computation failure must not kill the server
-                return _err(500, f"{type(exc).__name__}: {exc}")
-            p2 = time.monotonic()
-            if isinstance(out, _StreamBody):
-                # Serialization happens per line on the wire; the handler
-                # segment here only covers submitting the rows.
-                stages = rt.finalize(parse=p1 - p0, handle=p2 - p1, serialize=0.0)
-                return 200, out, out.content_type, stages, {}
-            rendered = canonical_dumps(out)
-            p3 = time.monotonic()
-            stages = rt.finalize(parse=p1 - p0, handle=p2 - p1, serialize=p3 - p2)
+        p0 = time.monotonic()
+        try:
+            payload = json.loads(body.decode("utf-8")) if body else {}
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            return _err(400, f"invalid JSON body: {exc}")
+        p1 = time.monotonic()
+        try:
+            out = await handler(payload)
+        except Exception as exc:  # computation failure must not kill the server
+            status, extra = error_status(exc)
+            return _err(status, f"{type(exc).__name__}: {exc}" if status == 500 else str(exc), extra)
+        p2 = time.monotonic()
+        if isinstance(out, StreamBody):
+            # Serialization happens per line on the wire; the handler
+            # segment here only covers submitting the rows.
+            record.finalize(parse=p1 - p0, handle=p2 - p1, serialize=0.0)
+            return 200, out, out.content_type, {}
+        rendered = canonical_dumps(out)
+        stages = record.finalize(parse=p1 - p0, handle=p2 - p1, serialize=time.monotonic() - p2)
         if want_timing:
             # Opt-in only: the default response must stay byte-identical
             # to serial evaluation (the service's determinism contract).
-            out["server_timing"] = stages
-            rendered = canonical_dumps(out)
-        return 200, rendered, "application/json", stages, {}
-
-    async def _write_stream(
-        self,
-        writer: asyncio.StreamWriter,
-        stream: _StreamBody,
-        *,
-        keep_alive: bool,
-        trace_id: str | None,
-    ) -> tuple[int, bool]:
-        """Write one chunked NDJSON body; returns (status, keep alive).
-
-        Each line is flushed as its cell completes — a slow consumer's
-        backpressure (``drain``) bounds server-side buffering.  A
-        mid-stream failure cannot rewrite the already-sent 200 head, so
-        it becomes a final ``{"error": ...}`` line followed by a
-        connection close (the truncation is the client's signal).
-        """
-        writer.write(
-            self._head(
-                200,
-                "Transfer-Encoding: chunked\r\n",
-                content_type=stream.content_type,
-                keep_alive=keep_alive,
-                trace_id=trace_id,
-            )
-        )
-        status, keep = 200, keep_alive
-        try:
-            async for line in stream.gen:
-                writer.write(self._chunk(line))
-                await writer.drain()
-        except Exception as exc:
-            status, keep = 500, False
-            if isinstance(exc, DeadlineExceeded):
-                status = 504
-            elif isinstance(exc, Overloaded):
-                status = 503
-            err = {"error": f"{type(exc).__name__}: {exc}", "status": status}
-            writer.write(self._chunk(canonical_dumps(err) + b"\n"))
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
-        return status, keep
+            return _json(200, {**out, "server_timing": stages})
+        return 200, rendered, "application/json", {}
 
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -729,15 +548,10 @@ class ServiceServer:
         try:
             while True:
                 try:
-                    req = await self._read_request(reader)
-                except _HttpError as exc:
-                    writer.write(
-                        self._response(
-                            exc.status,
-                            canonical_dumps({"error": exc.message}),
-                            keep_alive=False,
-                        )
-                    )
+                    req = await read_request(reader)
+                except HttpError as exc:
+                    err = canonical_dumps({"error": exc.message})
+                    writer.write(head(exc.status, len(err), keep_alive=False) + err)
                     await writer.drain()
                     return
                 if req is None:
@@ -745,64 +559,14 @@ class ServiceServer:
                 self._inflight_requests += 1
                 self._idle.clear()
                 try:
-                    method, path, headers, body = req
-                    route = path.partition("?")[0]
-                    endpoint = route if route.startswith("/v1/") or route in (
-                        "/metrics", "/healthz", "/stats"
-                    ) else "other"
-                    # Request ingress: honor the client's X-Repro-Trace id or
-                    # mint one; every span below joins this request's tree.
-                    trace_id = _clean_trace_id(headers.get("x-repro-trace")) or obs_trace.new_trace_id()
-                    want_timing = "x-repro-timing" in headers
-                    self.flight.begin(trace_id, method, route)
-                    keep = headers.get("connection", "keep-alive").lower() != "close"
-                    if self._draining:
-                        # Finish what is in flight, invite no more.
-                        keep = False
-                    t0 = time.monotonic()
-                    with obs_trace.span(
-                        "server",
-                        "request",
-                        label=route,
-                        ctx=obs_trace.TraceContext(trace_id),
-                        method=method,
-                    ) as sp:
-                        status, payload, ctype, stages, extra = await self._dispatch(
-                            method, path, body, want_timing
-                        )
-                        if isinstance(payload, _StreamBody):
-                            # The streamed request's wall time includes the
-                            # full body: the last cell is part of serving it.
-                            status, keep = await self._write_stream(
-                                writer, payload, keep_alive=keep, trace_id=trace_id
-                            )
-                        sp.set(status=status)
-                    wall = time.monotonic() - t0
-                    _REQUEST_SECONDS.observe(
-                        wall,
-                        exemplar=trace_id if obs_trace.enabled() else None,
-                        endpoint=endpoint,
-                    )
-                    _REQUESTS.inc(endpoint=endpoint, status=str(status))
-                    if route.startswith("/v1/"):
-                        self.slo.record(route[len("/v1/") :], wall, ok=status < 500)
-                    self.flight.finish(trace_id, status, wall, server_timing=stages)
-                    self.requests += 1
-                    if not isinstance(payload, _StreamBody):
-                        writer.write(
-                            self._response(
-                                status, payload, content_type=ctype, keep_alive=keep,
-                                trace_id=trace_id, extra=extra,
-                            )
-                        )
-                        await writer.drain()
+                    keep = await self._serve(writer, *req)
                 finally:
                     self._inflight_requests -= 1
                     if self._inflight_requests == 0:
                         self._idle.set()
                 if not keep:
                     return
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-exchange; nothing to answer
         except asyncio.CancelledError:
             pass  # server shutdown while the connection idled
@@ -813,6 +577,78 @@ class ServiceServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
                 pass
+
+    async def _serve(
+        self,
+        writer: asyncio.StreamWriter,
+        method: str,
+        path: str,
+        headers: dict[str, str],
+        body: bytes,
+    ) -> bool:
+        """Answer one request on ``writer``; returns whether to keep the
+        connection alive.
+
+        The request's one :class:`~repro.obs.flight.RequestRecord` is
+        opened here and finished in the ``finally``, so every request is
+        counted, timed and recorded however it ends: a client that
+        resets the connection before its response is out is recorded as
+        :data:`~repro.service.http.CLIENT_CLOSED` (499).
+        """
+        route = path.partition("?")[0]
+        endpoint = route if route.startswith("/v1/") or route in (
+            "/metrics", "/healthz", "/stats"
+        ) else "other"
+        # Request ingress: honor the client's X-Repro-Trace id or mint
+        # one; every span below joins this request's tree.
+        trace_id = clean_trace_id(headers.get("x-repro-trace")) or obs_trace.new_trace_id()
+        keep = headers.get("connection", "keep-alive").lower() != "close"
+        if self._draining:
+            keep = False  # finish what is in flight, invite no more
+        record = self.flight.begin(trace_id, method, route)
+        status = CLIENT_CLOSED  # until a response is handed to the socket
+        t0 = time.monotonic()
+        try:
+            with record, obs_trace.span(
+                "server",
+                "request",
+                label=route,
+                ctx=obs_trace.TraceContext(trace_id),
+                method=method,
+            ) as sp:
+                answer, payload, ctype, extra = await self._dispatch(
+                    record, method, path, body, "x-repro-timing" in headers
+                )
+                if isinstance(payload, StreamBody):
+                    # The streamed request's wall time includes the full
+                    # body: the last cell is part of serving it.
+                    answer, keep = await write_stream(
+                        writer, payload, keep_alive=keep, trace_id=trace_id
+                    )
+                status = answer
+                sp.set(status=status)
+        finally:
+            wall = time.monotonic() - t0
+            _REQUEST_SECONDS.observe(
+                wall,
+                exemplar=trace_id if obs_trace.enabled() else None,
+                endpoint=endpoint,
+            )
+            _REQUESTS.inc(endpoint=endpoint, status=str(status))
+            if route.startswith("/v1/"):
+                v1_route = route[len("/v1/") :]
+                if status in _LOAD_CONTROL:
+                    self.slo.note(v1_route, _LOAD_CONTROL[status])
+                self.slo.record(v1_route, wall, ok=status < 500)
+            self.flight.finish(record, status, wall)
+            self.requests += 1
+        if not isinstance(payload, StreamBody):
+            writer.write(
+                head(status, len(payload), content_type=ctype, keep_alive=keep,
+                     trace_id=trace_id, extra=extra) + payload
+            )
+            await writer.drain()
+        return keep
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -833,7 +669,7 @@ class ServiceServer:
         """
         if sock is not None:
             self._server = await asyncio.start_server(
-                self._handle_conn, sock=sock, limit=_MAX_HEADER_BYTES
+                self._handle_conn, sock=sock, limit=MAX_HEADER_BYTES
             )
         else:
             kwargs: dict[str, Any] = {}
@@ -843,7 +679,7 @@ class ServiceServer:
                 self._handle_conn,
                 self.config.host,
                 self.config.port,
-                limit=_MAX_HEADER_BYTES,
+                limit=MAX_HEADER_BYTES,
                 **kwargs,
             )
         if self.config.stats_dir is not None and self.config.worker_index is not None:
@@ -906,15 +742,6 @@ class ServiceServer:
         assert self._server is not None
         async with self._server:
             await self._server.serve_forever()
-
-
-class _HttpError(Exception):
-    """Framing-level failure with an HTTP status."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.message = message
 
 
 def serve(

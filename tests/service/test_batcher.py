@@ -5,6 +5,8 @@ import threading
 
 import pytest
 
+from repro.obs import trace
+from repro.obs.flight import RequestRecord
 from repro.service.batcher import Batcher
 from repro.simulation import ResultCache, SimConfig, config_key, simulate
 
@@ -198,6 +200,37 @@ class TestMissOnlySlicing:
         stats = asyncio.run(main())
         assert stats.cache_hits == 0
         assert sum(len(g) for g in runner.groups) == 3
+
+
+class TestStageRecords:
+    def test_each_stage_is_recorded_once_per_job(self, params, tmp_path):
+        """Under a request record, a warm job is resolved by its probe and
+        a cold one by its compute; traced, each stage is one span (the
+        batch leader's compute span is the executor-side one)."""
+        cache = ResultCache(tmp_path / "simcache")
+        configs = [cfg(params, seed=s) for s in range(2)]
+        cache.put(config_key(configs[0]), simulate(configs[0]))
+        tracer = trace.configure()
+
+        async def main():
+            batcher = Batcher(SpyRunner(), window=0.005, max_batch=16, cache=cache)
+            record = RequestRecord("t", "POST", "/v1/sweep")
+            try:
+                with record, trace.use_context(trace.TraceContext("t")):
+                    await asyncio.gather(*(batcher.submit(c) for c in configs))
+            finally:
+                batcher.close()
+            return record
+
+        try:
+            warm, cold = asyncio.run(main()).jobs
+        finally:
+            trace.disable()
+        assert set(warm) == {"window", "cache_probe", "resolved"}
+        assert set(cold) == {"window", "cache_probe", "compute", "resolved"}
+        assert warm["resolved"] < cold["resolved"]
+        kinds = sorted(r["kind"] for r in tracer.records if r["lane"] == "batcher")
+        assert kinds == ["cache_probe", "cache_probe", "compute", "window", "window"]
 
 
 class TestValidation:

@@ -194,3 +194,62 @@ class TestIncrementality:
         # The first cell resolves in a few ms; the second takes ~250 ms.
         # First row must not have waited for the slow cell.
         assert stamps[0] < stamps[1] / 2
+
+
+class TestClientDisconnect:
+    def test_reset_mid_stream_is_recorded_once_as_499(self):
+        """A client that resets the connection after the first cell: the
+        request is still finished, counted and recorded, as 499 (client
+        closed request), and nothing is left in flight."""
+        import struct
+        import time
+
+        from repro.obs.metrics import REGISTRY
+
+        sweep = {
+            "configs": [
+                {"params": {"mtti": 600.0}, "work_mttis": 3},
+                {"params": {"mtti": 900.0}, "work_mttis": 3},
+            ],
+            "seeds": [0],
+            "detail": True,
+            "stream": True,
+        }
+        requests_total = REGISTRY.counter("service_requests_total")
+        before = requests_total.value(endpoint="/v1/sweep", status="499")
+        # One row per runner call; the second cell's call is still
+        # computing when the client goes away.
+        with BackgroundServer(ServiceConfig(port=0, jobs=1, max_batch=1)) as srv:
+            real = srv.server.batcher._runner
+
+            def slow_last(configs):
+                if any(c.params.mtti == 900.0 for c in configs):
+                    time.sleep(0.3)
+                return real(configs)
+
+            srv.server.batcher._runner = slow_last
+            payload = json.dumps(sweep).encode()
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=60) as s:
+                s.sendall(
+                    b"POST /v1/sweep HTTP/1.1\r\nHost: x\r\n"
+                    + f"Content-Length: {len(payload)}\r\n\r\n".encode()
+                    + payload
+                )
+                got = b""
+                while b'"mean_efficiency"' not in got:  # the first cell
+                    got += s.recv(2048)
+                # Close with an RST rather than a FIN.
+                s.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+            flight = srv.server.flight
+            deadline = time.monotonic() + 10
+            while not len(flight) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            (entry,) = flight.requests()
+            assert entry["status"] == 499
+            assert entry["path"] == "/v1/sweep"
+            assert flight._n_pending == 0 and not flight._pending
+            assert srv.server.requests == 1
+        after = requests_total.value(endpoint="/v1/sweep", status="499")
+        assert after - before == 1

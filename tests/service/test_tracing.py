@@ -2,6 +2,8 @@
 
 import asyncio
 import json
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -54,6 +56,65 @@ def records_for(tracer, trace_id):
     return [r for r in tracer.records if r.get("trace_id") == trace_id]
 
 
+STAGES = {"parse", "coalesce_wait", "batch_window", "cache_probe", "compute", "serialize"}
+
+
+def assert_stages_cover_wall(st, wall):
+    assert set(st) == STAGES
+    assert all(v >= 0.0 for v in st.values())
+    assert sum(st.values()) <= wall * 1.05
+    assert sum(st.values()) >= wall * 0.5  # the stages cover the bulk
+
+
+def _timed(port, tid, path, body):
+    with ServiceClient("127.0.0.1", port, trace_id=tid, timing=True) as c:
+        return json.loads(c.post_raw(path, body))
+
+
+def _warm_simulate(port, tid):
+    body = dict(BODY, seed=201)
+    with ServiceClient("127.0.0.1", port) as c:
+        c.simulate(body)  # populate the shared result cache
+    return _timed(port, tid, "/v1/simulate", body)
+
+
+def _coalesced_duplicate(port, tid):
+    # ~0.2 s of engine work: the duplicate arrives while it runs and
+    # waits on the primary's computation.
+    body = dict(BODY, seed=202, work_mttis=200)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        primary = pool.submit(_timed, port, "cafe2000", "/v1/simulate", body)
+        time.sleep(0.05)
+        out = _timed(port, tid, "/v1/simulate", body)
+        primary.result()
+    return out
+
+
+def _buffered_sweep(port, tid):
+    body = {"configs": [dict(BODY, work_mttis=2)], "seeds": [203, 204, 205]}
+    return _timed(port, tid, "/v1/sweep", body)
+
+
+def _streamed_sweep(port, tid):
+    body = {"configs": [dict(BODY, work_mttis=2)], "seeds": [206, 207, 208]}
+    with ServiceClient("127.0.0.1", port, trace_id=tid) as c:
+        assert len(list(c.sweep_stream(body))) == 1
+    return None  # NDJSON carries no server_timing; the recorder does
+
+
+def _optimize(port, tid):
+    return _timed(port, tid, "/v1/optimize", {"params": {"mtti": 700.0}})
+
+
+TIMING_CASES = {
+    "warm-simulate": _warm_simulate,
+    "coalesced-duplicate": _coalesced_duplicate,
+    "buffered-sweep": _buffered_sweep,
+    "streamed-sweep": _streamed_sweep,
+    "optimize": _optimize,
+}
+
+
 class TestTraceHeader:
     def test_client_supplied_id_is_adopted_and_echoed(self, server):
         with ServiceClient("127.0.0.1", server.port, trace_id="feedc0de00112233") as c:
@@ -76,6 +137,34 @@ class TestTraceHeader:
         with ServiceClient("127.0.0.1", server.port, trace_id="ABCDEF01") as c:
             c.healthz()
             assert c.last_trace_id == "abcdef01"
+
+    def test_reused_id_records_every_request(self):
+        """Two concurrent requests under one client-chosen trace id are
+        two flight records, each with its own ``server_timing``."""
+        # One job per runner call; neither call returns before both
+        # requests are computing, so the two are in flight together.
+        with BackgroundServer(ServiceConfig(port=0, jobs=1, max_batch=1)) as srv:
+            real = srv.server.batcher._runner
+            both = threading.Barrier(2, timeout=30)
+
+            def together(configs):
+                both.wait()
+                return real(configs)
+
+            srv.server.batcher._runner = together
+
+            def fire(seed):
+                with ServiceClient("127.0.0.1", srv.port, trace_id="abc123") as c:
+                    return c.simulate(dict(BODY, seed=seed))
+
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                list(pool.map(fire, [300, 301]))
+            with ServiceClient("127.0.0.1", srv.port) as c:
+                listed = json.loads(c.get_raw("/debug/requests?n=50"))["requests"]
+        mine = [e for e in listed if e["trace_id"] == "abc123"]
+        assert len(mine) == 2
+        assert all(set(e["server_timing"]) == STAGES for e in mine)
+        assert mine[0]["server_timing"] != mine[1]["server_timing"]
 
     def test_responses_stay_byte_identical_under_tracing(self, client):
         trace.configure()
@@ -157,16 +246,39 @@ class TestServerTiming:
             "127.0.0.1", server.port, trace_id="cafe0002", timing=True
         ) as c:
             out = c.simulate(dict(BODY, seed=92, work_mttis=5))
+            entry = json.loads(c.get_raw("/debug/trace/cafe0002"))
         st = out["server_timing"]
-        assert set(st) == {
-            "parse", "coalesce_wait", "batch_window", "cache_probe",
-            "compute", "serialize",
-        }
-        assert all(v >= 0.0 for v in st.values())
-        entry = json.loads(c.get_raw("/debug/trace/cafe0002"))
-        wall = entry["duration"]
-        assert sum(st.values()) <= wall * 1.05
-        assert sum(st.values()) >= wall * 0.5  # the stages cover the bulk
+        assert entry["server_timing"] == st
+        assert_stages_cover_wall(st, entry["duration"])
+
+    @pytest.mark.parametrize("case", sorted(TIMING_CASES))
+    def test_stages_sum_to_wall_per_request_kind(self, server, case):
+        """The test above (a cold simulate) for every other kind of request:
+        the six stages, none negative, summing to the flight recorder's
+        wall time within 5%, with the stage that dominates each kind."""
+        tid = f"cafe1{sorted(TIMING_CASES).index(case):03x}"
+        response = TIMING_CASES[case](server.port, tid)
+        with ServiceClient("127.0.0.1", server.port) as c:
+            entry = json.loads(c.get_raw(f"/debug/trace/{tid}"))
+        st = entry["server_timing"]
+        if response is not None:
+            assert response["server_timing"] == st
+        if case == "streamed-sweep":
+            # The handler segment only submits the rows; every line is
+            # serialized on the wire, after attribution.
+            assert st["serialize"] == 0.0
+            assert sum(st.values()) <= entry["duration"] * 1.05
+        else:
+            assert_stages_cover_wall(st, entry["duration"])
+        if case == "warm-simulate":
+            assert st["compute"] == 0.0 and st["cache_probe"] > 0.0
+        elif case == "coalesced-duplicate":
+            assert max(st, key=st.get) == "coalesce_wait"
+        elif case == "optimize":
+            assert st["batch_window"] == st["cache_probe"] == 0.0
+            assert st["compute"] > 0.0
+        elif case == "buffered-sweep":
+            assert st["compute"] > 0.0
 
     def test_timing_absent_without_header(self, client):
         out = client.simulate(dict(BODY, seed=93))
