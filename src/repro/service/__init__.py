@@ -10,9 +10,9 @@ serves it instead: a long-lived asyncio HTTP/JSON server
 * **coalescing** (:mod:`~repro.service.coalescer`) — identical in-flight
   configs (by :func:`~repro.simulation.pool.config_key`) attach to one
   computation; every waiter receives the same result.
-* **micro-batching** (:mod:`~repro.service.batcher`) — a bounded-delay
-  batcher drains the request queue, resolves cache hits with one probe,
-  and fuses the misses into single
+* **micro-batching** (:mod:`~repro.service.batcher`) — the batcher
+  answers cache hits at submit with one probe, and a bounded-delay
+  drain fuses the queued misses into single
   :func:`~repro.simulation.fastpath.simulate_batch` passes (via the
   existing worker pool), preserving the per-config bit-identical
   determinism contract.

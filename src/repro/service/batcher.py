@@ -7,24 +7,24 @@ seeding, one vectorized driver loop).  A service receiving many small
 independent requests recreates exactly the workload shape that wastes
 it — unless requests are fused.
 
-:class:`Batcher` implements continuous micro-batching: submissions queue
-up; a drain task sleeps for a bounded ``window`` (the latency price of
-batching, default a few milliseconds), then drains up to ``max_batch``
-jobs and dispatches them to a thread-pool executor running the blocking
-batch runner (:func:`~repro.simulation.pool.run_simulations`, which
-fuses the configs of each worker chunk into one ``simulate_batch``
+:class:`Batcher` implements continuous micro-batching: cache misses
+queue up; a drain task sleeps for a bounded ``window`` (the latency
+price of batching, default a few milliseconds), then drains up to
+``max_batch`` jobs and dispatches them to a thread-pool executor running
+the blocking batch runner (:func:`~repro.simulation.pool.run_simulations`,
+which fuses the configs of each worker chunk into one ``simulate_batch``
 pass).  While a dispatch computes, new arrivals accumulate into the next
 batch — the same continuous-batching discipline VELOC's engine queue
 applies to checkpoint flushes.
 
-The batcher owns the result cache on the service path: each dispatch
-hashes its jobs once, probes the cache with one ``get_many`` sweep,
-resolves the hits, runs only the misses, and writes them back with one
-``put_many`` in the same executor call.  The runner itself never sees
-the cache, so every row costs exactly one lookup.
+The batcher owns the result cache on the service path: ``submit`` probes
+it once per row, on the event loop, and answers a hit at once, so only
+misses pay the window, admission control and the executor hop.  Each
+dispatch writes its misses back with one ``put_many`` in the same
+executor call; the runner itself never sees the cache.
 
-Attribution: every stage of a job (``window``, ``cache_probe``, which
-also resolves a hit, ``compute`` or ``expired``) is written once, by
+Attribution: every stage of a job (``cache_probe``, which also resolves
+a hit, ``window``, ``compute`` or ``expired``) is written once, by
 :meth:`StageRecord.stage`: onto the submitting request's flight record,
 where ``server_timing`` is computed from, and as a ``batcher`` span when
 the job is traced.  Only the batch leader's ``compute`` span is opened
@@ -100,7 +100,7 @@ _BATCH_SECONDS = obs_metrics.REGISTRY.histogram(
 )
 _CACHE_SLICED = obs_metrics.REGISTRY.counter(
     "service_batch_cache_hits_total",
-    "simulate jobs resolved from the result cache before dispatch",
+    "simulate jobs resolved from the result cache at submit, before queueing",
 )
 _SHED = obs_metrics.REGISTRY.counter(
     "service_shed_total",
@@ -116,6 +116,7 @@ _EXPIRED = obs_metrics.REGISTRY.counter(
 class BatchStats:
     """Aggregate batching counters (the benchmark's raw material)."""
 
+    #: Rows accepted: cache hits plus queued misses (shed rows excluded).
     submitted: int = 0
     batches: int = 0
     batched_jobs: int = 0
@@ -166,6 +167,7 @@ class StageRecord:
 @dataclass
 class _Job:
     config: SimConfig
+    key: str | None  # None without a cache
     future: asyncio.Future
     stages: StageRecord
     #: Enqueue time on the loop clock (filled at submit).
@@ -215,8 +217,8 @@ class Batcher:
         idles behind a running batch.
     cache:
         Optional shared :class:`~repro.simulation.pool.ResultCache`
-        that the batcher probes and writes back (see above); responses
-        are byte-identical with or without it.
+        that :meth:`submit` probes and each dispatch writes back (see
+        above); responses are byte-identical with or without it.
     queue_budget:
         Admission-control budget in seconds, or ``None`` (default) for
         unbounded queueing.  When set, a submission is rejected with
@@ -294,8 +296,13 @@ class Batcher:
         batches_ahead = math.ceil(len(self._queue) / self.max_batch)
         return batches_ahead * self._batch_ewma
 
-    async def submit(self, config: SimConfig, qos: QoS | None = None) -> SimulationResult:
-        """Queue one config; resolves with its simulation result.
+    async def submit(
+        self, config: SimConfig, qos: QoS | None = None, key: str | None = None
+    ) -> SimulationResult:
+        """Answer one config from the cache, or queue it for a batch.
+
+        ``key`` is the config's :func:`~repro.simulation.pool.config_key`
+        if the caller already hashed it; otherwise it is hashed here.
 
         Identical concurrent configs should be deduplicated *before*
         submission (the server routes through the
@@ -310,8 +317,20 @@ class Batcher:
         """
         if self._closed:
             raise RuntimeError("batcher is closed")
-        qos = qos or QoS()
         loop = asyncio.get_running_loop()
+        stages = StageRecord()
+        if self.cache is not None:
+            if key is None:
+                key = config_key(config)
+            t0 = loop.time()
+            hit = self.cache.get(key)
+            stages.stage("cache_probe", t0, loop.time(), resolved=hit is not None)
+            if hit is not None:
+                self.stats.submitted += 1
+                self.stats.cache_hits += 1
+                _CACHE_SLICED.inc()
+                return hit
+        qos = qos or QoS()
         if self.queue_budget is not None:
             est = self.estimated_delay()
             if est > self.queue_budget:
@@ -326,8 +345,9 @@ class Batcher:
         self._seq += 1
         job = _Job(
             config=config,
+            key=key,
             future=loop.create_future(),
-            stages=StageRecord(),
+            stages=stages,
             enqueued=now,
             deadline=now + qos.deadline_s if qos.deadline_s is not None else math.inf,
             priority=qos.priority,
@@ -411,41 +431,14 @@ class Batcher:
                     job.future.set_exception(exc)
 
     async def _dispatch(self, jobs: list[_Job]) -> None:
-        """Answer one drained window: probe, compute the misses, write back."""
+        """Answer one drained window of misses: compute, then write back."""
         loop = asyncio.get_running_loop()
         cache = self.cache
         # Batch window: enqueue -> dispatch actually starting (bounded
         # delay + any wait behind max_inflight).
-        t_start = loop.time()
-        for job in jobs:
-            job.stages.stage("window", job.enqueued, t_start)
-        keys: list[str] = []
-        if cache is not None:
-            # Miss-only slicing: hash each job once and probe the cache
-            # off the event loop; the misses' keys are reused for the
-            # write-back after compute.
-            def _probe() -> tuple[list[str], dict[str, SimulationResult]]:
-                hashed = [config_key(j.config) for j in jobs]
-                return hashed, cache.get_many(hashed)
-
-            tp0 = loop.time()
-            keys, hits = await loop.run_in_executor(self._executor, _probe)
-            tp1 = loop.time()
-            for job, key in zip(jobs, keys):
-                job.stages.stage("cache_probe", tp0, tp1, resolved=key in hits)
-                if key in hits and not job.future.done():
-                    job.future.set_result(hits[key])
-            if hits:
-                misses = [i for i, key in enumerate(keys) if key not in hits]
-                n_hits = len(jobs) - len(misses)
-                _CACHE_SLICED.inc(n_hits)
-                self.stats.cache_hits += n_hits
-                jobs = [jobs[i] for i in misses]
-                keys = [keys[i] for i in misses]
-                if not jobs:
-                    # Fully warm batch: no compute span in any tree.
-                    return
         t0 = loop.time()
+        for job in jobs:
+            job.stages.stage("window", job.enqueued, t0)
         configs = [j.config for j in jobs]
         # One real compute span, opened in the executor thread under
         # the batch leader's request context so the pool chunks and
@@ -465,7 +458,7 @@ class Batcher:
                     f"runner returned {len(results)} results for {len(configs)} configs"
                 )
             if cache is not None:
-                cache.put_many(zip(keys, results))
+                cache.put_many(zip((j.key for j in jobs), results))
             return results
 
         def _run() -> Sequence[SimulationResult]:

@@ -20,9 +20,10 @@ Endpoints (see ``docs/SERVICE.md`` for the full schema):
   text format; ``GET /healthz`` — liveness; ``GET /stats`` — service
   counters as JSON (what the benchmark reads).
 
-Every simulate row takes one path: protocol -> coalescer -> batcher
-(which probes the shared cache, dispatches the misses and writes them
-back) -> :func:`~repro.simulation.pool.run_simulations` with no cache ->
+Every simulate row is hashed once and takes one path: protocol ->
+coalescer -> batcher (which answers cache hits at submit and queues,
+dispatches and writes back only the misses) ->
+:func:`~repro.simulation.pool.run_simulations` with no cache ->
 ``simulate_batch``.
 
 Every request has one :class:`~repro.obs.flight.RequestRecord`, opened
@@ -221,14 +222,14 @@ class ServiceServer:
     async def _simulate(
         self, cfg: SimConfig, qos: QoS | None = None
     ) -> SimulationResult:
+        # One hash per row serves the coalescer, probe and write-back.
         # A coalesced duplicate inherits the primary's QoS: it attaches
         # to work already admitted and scheduled, so its own deadline or
         # priority cannot (and need not) reshape that computation.
+        key = config_key(cfg)
         if not self.config.coalesce:
-            return await self.batcher.submit(cfg, qos)
-        return await self.coalescer.get(
-            config_key(cfg), lambda: self.batcher.submit(cfg, qos)
-        )
+            return await self.batcher.submit(cfg, qos, key)
+        return await self.coalescer.get(key, lambda: self.batcher.submit(cfg, qos, key))
 
     async def _handle_simulate(self, body: Any) -> dict:
         qos, body = qos_from_json(body)

@@ -2,6 +2,7 @@
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -202,11 +203,67 @@ class TestMissOnlySlicing:
         assert sum(len(g) for g in runner.groups) == 3
 
 
+class TestHitsResolveAtSubmit:
+    """A cache hit is answered by ``submit`` itself: it never waits for a
+    window, takes an executor hop or enters the queue."""
+
+    def test_warm_submit_skips_the_window_and_the_executor(self, params, tmp_path):
+        cache = ResultCache(tmp_path / "simcache")
+        c = cfg(params, seed=7)
+        cache.put(config_key(c), simulate(c))
+        runner = SpyRunner()
+
+        async def main():
+            batcher = Batcher(runner, window=0.5, cache=cache)
+            hops = []
+            real_submit = batcher._executor.submit
+            batcher._executor.submit = lambda *a, **kw: hops.append(a) or real_submit(*a, **kw)
+            try:
+                t0 = time.perf_counter()
+                out = await batcher.submit(c)
+                return out, time.perf_counter() - t0, hops, batcher
+            finally:
+                batcher.close()
+
+        out, elapsed, hops, batcher = asyncio.run(main())
+        assert out == simulate(c)
+        assert elapsed < 0.05  # far inside the 0.5 s window
+        assert runner.groups == [] and hops == []
+        assert batcher.stats.batches == 0 and batcher.queue_depth == 0
+
+    def test_submitted_counts_hits_and_queued_rows(self, params, tmp_path):
+        """``submitted`` is hits plus queued rows, and every submitted row
+        was probed exactly once."""
+        cache = ResultCache(tmp_path / "simcache")
+        configs = [cfg(params, seed=s) for s in range(5)]
+        for c in configs[:2]:
+            cache.put(config_key(c), simulate(c))
+        runner = SpyRunner()
+
+        async def main():
+            batcher = Batcher(runner, window=0.005, max_batch=16, cache=cache)
+            try:
+                first = await asyncio.gather(*(batcher.submit(c) for c in configs))
+                again = await asyncio.gather(
+                    *(batcher.submit(c, key=config_key(c)) for c in configs)
+                )
+                return first + again, batcher.stats
+            finally:
+                batcher.close()
+
+        out, stats = asyncio.run(main())
+        assert out == [simulate(c) for c in configs] * 2
+        assert (stats.submitted, stats.cache_hits, stats.batched_jobs) == (10, 7, 3)
+        assert stats.submitted == stats.cache_hits + stats.batched_jobs
+        assert cache.hits + cache.misses == stats.submitted
+
+
 class TestStageRecords:
     def test_each_stage_is_recorded_once_per_job(self, params, tmp_path):
-        """Under a request record, a warm job is resolved by its probe and
-        a cold one by its compute; traced, each stage is one span (the
-        batch leader's compute span is the executor-side one)."""
+        """Under a request record, a warm job is resolved by its probe at
+        submit (it has no window) and a cold one by its compute; traced,
+        each stage is one span (the batch leader's compute span is the
+        executor-side one)."""
         cache = ResultCache(tmp_path / "simcache")
         configs = [cfg(params, seed=s) for s in range(2)]
         cache.put(config_key(configs[0]), simulate(configs[0]))
@@ -226,11 +283,11 @@ class TestStageRecords:
             warm, cold = asyncio.run(main()).jobs
         finally:
             trace.disable()
-        assert set(warm) == {"window", "cache_probe", "resolved"}
-        assert set(cold) == {"window", "cache_probe", "compute", "resolved"}
+        assert set(warm) == {"cache_probe", "resolved"}
+        assert set(cold) == {"cache_probe", "window", "compute", "resolved"}
         assert warm["resolved"] < cold["resolved"]
         kinds = sorted(r["kind"] for r in tracer.records if r["lane"] == "batcher")
-        assert kinds == ["cache_probe", "cache_probe", "compute", "window", "window"]
+        assert kinds == ["cache_probe", "cache_probe", "compute", "window"]
 
 
 class TestValidation:

@@ -3,6 +3,7 @@
 import dataclasses
 import http.client
 import json
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -275,3 +276,150 @@ class TestOnePath:
             with ServiceClient("127.0.0.1", srv.port) as c:
                 assert c.post_raw("/v1/simulate", BODY) == expected_bytes(BODY)
         assert errors.value() - before == 1
+
+    def test_each_row_is_hashed_once(self, tmp_path, monkeypatch):
+        """The server's key serves the coalescer, the probe and the
+        write-back: one ``config_key`` call per row, cold or warm."""
+        import repro.service.batcher as batcher_mod
+        import repro.service.server as server_mod
+        import repro.simulation.pool as pool_mod
+
+        body = dict(BODY, seed=70)
+        want = expected_bytes(body)
+        hashed = []
+        real = pool_mod.config_key
+
+        def spy(config):
+            hashed.append(config.seed)
+            return real(config)
+
+        for mod in (batcher_mod, server_mod, pool_mod):
+            monkeypatch.setattr(mod, "config_key", spy)
+        for coalesce in (True, False):
+            hashed.clear()
+            cache = ResultCache(tmp_path / f"simcache-{coalesce}")
+            config = ServiceConfig(port=0, jobs=1, cache=cache, coalesce=coalesce)
+            with BackgroundServer(config) as srv:
+                with ServiceClient("127.0.0.1", srv.port) as c:
+                    assert c.post_raw("/v1/simulate", body) == want  # cold
+                    assert hashed == [70]
+                    assert c.post_raw("/v1/simulate", body) == want  # warm
+                    assert hashed == [70, 70]
+            assert (cache.hits, cache.misses) == (1, 1)
+
+
+class TestWarmHitRobustness:
+    """Answering hits at submit must never fail or alter a correct
+    answer: every case gives the serial bytes or an explicit status."""
+
+    def test_warm_row_answered_while_cold_rows_are_shed(self, tmp_path):
+        # Every batch holds the single dispatch slot for 0.25 s (a sleep
+        # around the real runner) while a sibling queues behind it.
+        config = ServiceConfig(
+            port=0,
+            jobs=1,
+            cache=ResultCache(tmp_path / "simcache"),
+            batch_window=0.01,
+            max_batch=1,
+            max_inflight=1,
+            queue_budget=0.05,
+        )
+        warm = dict(BODY, seed=10)
+        with BackgroundServer(config) as srv:
+            real = srv.server.batcher._runner
+
+            def slow(configs):
+                time.sleep(0.25)
+                return real(configs)
+
+            srv.server.batcher._runner = slow
+            with ServiceClient("127.0.0.1", srv.port) as c:
+                c.simulate(warm)  # caches seed 10, warms the EWMA (~0.25 s)
+
+                def fire(seed):
+                    with ServiceClient("127.0.0.1", srv.port) as c2:
+                        return c2.post_raw("/v1/simulate", dict(BODY, seed=seed))
+
+                with ThreadPoolExecutor(max_workers=2) as pool:
+                    futs = [pool.submit(fire, 11)]
+                    time.sleep(0.05)  # 11 takes the slot (computes ~0.25 s)
+                    futs.append(pool.submit(fire, 12))  # queued behind 11
+                    time.sleep(0.05)
+                    with pytest.raises(ServiceError) as exc:
+                        c.simulate(dict(BODY, seed=13))
+                    assert exc.value.status == 503
+                    assert exc.value.retry_after is not None
+                    assert c.post_raw("/v1/simulate", warm) == expected_bytes(warm)
+                    for seed, fut in zip((11, 12), futs):
+                        assert fut.result() == expected_bytes(dict(BODY, seed=seed))
+                stats = c.stats()
+        assert stats["batch"]["shed"] >= 1
+        assert stats["batch"]["cache_hits"] == 1
+
+    def test_tightest_deadline_on_a_warm_row_gets_serial_bytes(self, tmp_path):
+        """A hit never waits, so no deadline can expire it; the same
+        deadline on a cold row is a 504.  ``deadline_ms=0`` is refused
+        by the protocol (400) before any lookup."""
+        config = ServiceConfig(
+            port=0, jobs=1, cache=ResultCache(tmp_path / "simcache"), batch_window=0.1
+        )
+        warm = dict(BODY, seed=40)
+        with BackgroundServer(config) as srv:
+            with ServiceClient("127.0.0.1", srv.port) as c:
+                c.simulate(warm)
+                got = c.post_raw("/v1/simulate", dict(warm, deadline_ms=1))
+                with pytest.raises(ServiceError) as cold:
+                    c.simulate(dict(BODY, seed=41, deadline_ms=1))
+                with pytest.raises(ServiceError) as zero:
+                    c.simulate(dict(warm, deadline_ms=0))
+        assert got == expected_bytes(warm)
+        assert cold.value.status == 504
+        assert zero.value.status == 400
+
+    def test_torn_entry_is_one_miss_and_is_repaired(self, tmp_path):
+        from repro.simulation.pool import config_key
+
+        body = dict(BODY, seed=50)
+        row = config_from_json(body)
+        cache = ResultCache(tmp_path / "simcache")
+        cache.put(config_key(row), simulate(row))
+        path = cache._path(config_key(row))
+        path.write_bytes(path.read_bytes()[:40])  # a truncated JSON document
+        with BackgroundServer(ServiceConfig(port=0, jobs=1, cache=cache)) as srv:
+            with ServiceClient("127.0.0.1", srv.port) as c:
+                assert c.post_raw("/v1/simulate", body) == expected_bytes(body)
+                assert c.stats()["cache"] == {"enabled": True, "hits": 0, "misses": 1}
+        assert cache.get(config_key(row)) == simulate(row)  # the write-back fixed it
+
+    def test_cache_get_error_fails_only_its_row(self, tmp_path):
+        from repro.simulation.pool import config_key
+
+        poisoned = dict(BODY, seed=62)
+        bad_key = config_key(config_from_json(poisoned))
+
+        class BrokenIndexCache(ResultCache):
+            def get(self, key):
+                if key == bad_key:
+                    raise RuntimeError("cache index corrupt")
+                return super().get(key)
+
+        config = ServiceConfig(
+            port=0, jobs=1, cache=BrokenIndexCache(tmp_path / "simcache"), batch_window=0.5
+        )
+        queued = [dict(BODY, seed=60), dict(BODY, seed=61)]
+        with BackgroundServer(config) as srv:
+
+            def fire(body):
+                with ServiceClient("127.0.0.1", srv.port) as c2:
+                    return c2.post_raw("/v1/simulate", body)
+
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futs = [pool.submit(fire, body) for body in queued]
+                deadline = time.monotonic() + 5.0
+                while srv.server.batcher.queue_depth < 2 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                with ServiceClient("127.0.0.1", srv.port) as c:
+                    with pytest.raises(ServiceError) as exc:
+                        c.simulate(poisoned)
+                assert exc.value.status == 500
+                assert [f.result() for f in futs] == [expected_bytes(b) for b in queued]
