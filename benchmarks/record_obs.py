@@ -16,7 +16,7 @@ interleaved runs (robust to absolute machine-speed drift):
   guarantee, checked on every run (record and ``--check`` alike);
 * **request tracing, enabled** — the capacity-planning service under an
   interleaved closed-loop burst with request tracing off vs on (JSONL
-  sink, full request trees: ingress → coalescer → batcher → pool →
+  sink, full request trees: ingress → batcher → pool →
   fastpath).  Gate: the p50 latency delta stays under 2% of the
   untraced p50, and the emitted trace reconstructs into connected
   request trees (no orphan spans).

@@ -617,8 +617,8 @@ def smoke(port: int = 0) -> int:
     if missing:
         print(f"smoke: /metrics missing {missing}", file=sys.stderr)
         return 1
-    # Coalesced duplicates never reach the batcher, so submitted <=
-    # requests; but every request must be accounted for somewhere.
+    # Every simulate row is counted once, as primary or coalesced
+    # (coalesced duplicates are not in ``submitted``).
     served = stats["coalesce"]["primary"] + stats["coalesce"]["coalesced"]
     if stats["batch"]["submitted"] < 1 or served < len(schedule):
         print("smoke: request accounting does not cover the burst", file=sys.stderr)

@@ -543,7 +543,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_sv.add_argument(
         "--no-coalesce",
         action="store_true",
-        help="disable identical-in-flight-request coalescing (benchmark baseline)",
+        help="compute every duplicate simulate row instead of attaching it to "
+        "the pending identical row (benchmark baseline)",
     )
     p_sv.add_argument(
         "--slo",

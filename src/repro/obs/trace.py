@@ -80,8 +80,8 @@ SPAN_FIELDS = ("lane", "start", "end", "kind", "label")
 #: globally-unique context id (``"<pid hex>-<span hex>"``, unique even
 #: across forked pool workers), ``ctx_parent`` names the parent span's
 #: ``ctx`` and ``links`` names additional related spans in *other*
-#: request trees (e.g. a coalesced waiter linking the shared compute
-#: span it attached to).
+#: request trees (e.g. a batch rider linking the shared compute span
+#: it rode).
 OPTIONAL_FIELDS: dict[str, tuple[type, ...]] = {
     "attrs": (dict,),
     "span": (int,),
@@ -176,8 +176,8 @@ def validate_request_trees(records: list[dict] | tuple[dict, ...]) -> dict:
       within the *same* trace — resolution is by id, never by emission
       order or pid, so parents recorded in other processes count;
     * every ``links`` entry resolves to a ``ctx`` somewhere in the whole
-      record set (links deliberately cross trees: a coalesced waiter
-      names the shared compute span living in the primary's tree).
+      record set (links deliberately cross trees: a batch rider names
+      the shared compute span living in the batch leader's tree).
 
     Returns a report dict — ``traces``, ``spans`` (records in trees),
     ``roots`` (spans with no ``ctx_parent``), and ``orphans``: a list of
@@ -385,8 +385,7 @@ class SpanHandle:
 
     def link(self, *ctx_ids: str | None) -> "SpanHandle":
         """Reference spans in *other* request trees by their ``ctx`` id
-        (e.g. a coalesced waiter naming the shared compute span it
-        attached to).  ``None``/empty entries are ignored so callers can
+        (e.g. a batch rider naming the shared compute span it rode).  ``None``/empty entries are ignored so callers can
         pass a possibly-disabled handle's ``ctx_id`` unconditionally.
         """
         for cid in ctx_ids:

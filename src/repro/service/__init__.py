@@ -7,12 +7,11 @@ serves it instead: a long-lived asyncio HTTP/JSON server
 (:mod:`~repro.service.server`) where clients submit ``simulate`` /
 ``sweep`` / ``optimize`` requests and the server squeezes the substrate:
 
-* **coalescing** (:mod:`~repro.service.coalescer`) — identical in-flight
-  configs (by :func:`~repro.simulation.pool.config_key`) attach to one
-  computation; every waiter receives the same result.
-* **micro-batching** (:mod:`~repro.service.batcher`) — the batcher
-  answers cache hits at submit with one probe, and a bounded-delay
-  drain fuses the queued misses into single
+* **coalescing and micro-batching** (:mod:`~repro.service.batcher`) —
+  the batcher answers cache hits at submit with one probe, attaches an
+  identical miss (by :func:`~repro.simulation.pool.config_key`) to the
+  pending job of its key so every waiter receives the same result, and
+  a bounded-delay drain fuses the queued misses into single
   :func:`~repro.simulation.fastpath.simulate_batch` passes (via the
   existing worker pool), preserving the per-config bit-identical
   determinism contract.
@@ -33,7 +32,6 @@ framing, ``json`` bodies.  See ``docs/SERVICE.md`` for the API schema.
 
 from .batcher import Batcher, BatchStats, DeadlineExceeded, Overloaded
 from .client import ServiceClient, ServiceError
-from .coalescer import Coalescer
 from .protocol import (
     ProtocolError,
     QoS,
@@ -51,7 +49,6 @@ __all__ = [
     "BackgroundServer",
     "Batcher",
     "BatchStats",
-    "Coalescer",
     "DeadlineExceeded",
     "Overloaded",
     "ProtocolError",

@@ -23,8 +23,20 @@ misses pay the window, admission control and the executor hop.  Each
 dispatch writes its misses back with one ``put_many`` in the same
 executor call; the runner itself never sees the cache.
 
+It is also the service's single-flight: with ``coalesce`` on, a miss
+whose key is already pending (queued or computing) attaches to that
+job's future instead of queueing a second computation, so every waiter
+receives the *same* result object.  Waiters await a *shielded* view of
+the future, so a client disconnecting cancels only its own wait.  Keys
+are :func:`~repro.simulation.pool.config_key` hashes, so "identical"
+means identical in the exact sense the result cache uses.  The pending
+map is per worker process: under prefork serving the shared on-disk
+cache is the cross-worker dedup layer.
+
 Attribution: every stage of a job (``cache_probe``, which also resolves
-a hit, ``window``, ``compute`` or ``expired``) is written once, by
+a hit, ``window``, ``compute`` or ``expired``, or a coalesced
+duplicate's ``wait``, linked to the request whose job it attached to)
+is written once, by
 :meth:`StageRecord.stage`: onto the submitting request's flight record,
 where ``server_timing`` is computed from, and as a ``batcher`` span when
 the job is traced.  Only the batch leader's ``compute`` span is opened
@@ -110,14 +122,28 @@ _EXPIRED = obs_metrics.REGISTRY.counter(
     "service_expired_total",
     "simulate jobs whose deadline passed before dispatch (answered without computing)",
 )
+_COALESCED = obs_metrics.REGISTRY.counter(
+    "service_coalesced_total",
+    "simulate rows attached to a pending job of the same config",
+)
+_PRIMARY = obs_metrics.REGISTRY.counter(
+    "service_coalesce_primary_total",
+    "simulate rows not attached to a pending job (hits, queued misses, shed rows)",
+)
 
 
 @dataclass
 class BatchStats:
     """Aggregate batching counters (the benchmark's raw material)."""
 
-    #: Rows accepted: cache hits plus queued misses (shed rows excluded).
+    #: Rows accepted: cache hits plus queued misses (shed rows and
+    #: coalesced duplicates excluded).
     submitted: int = 0
+    #: Every row is exactly one of these: ``coalesced`` attached to a
+    #: pending job of the same key, ``primary`` did not (hits and shed
+    #: rows included).
+    primary: int = 0
+    coalesced: int = 0
     batches: int = 0
     batched_jobs: int = 0
     max_batch_seen: int = 0
@@ -167,7 +193,7 @@ class StageRecord:
 @dataclass
 class _Job:
     config: SimConfig
-    key: str | None  # None without a cache
+    key: str | None  # None without a cache or coalescing
     future: asyncio.Future
     stages: StageRecord
     #: Enqueue time on the loop clock (filled at submit).
@@ -219,6 +245,10 @@ class Batcher:
         Optional shared :class:`~repro.simulation.pool.ResultCache`
         that :meth:`submit` probes and each dispatch writes back (see
         above); responses are byte-identical with or without it.
+    coalesce:
+        Attach a miss to the pending job of the same key instead of
+        computing it again.  Off, every duplicate computes independently
+        (the benchmark's naive baseline).
     queue_budget:
         Admission-control budget in seconds, or ``None`` (default) for
         unbounded queueing.  When set, a submission is rejected with
@@ -240,6 +270,7 @@ class Batcher:
         max_batch: int = 256,
         max_inflight: int = 2,
         cache: ResultCache | None = None,
+        coalesce: bool = True,
         queue_budget: float | None = None,
         aging: float = 1.0,
     ) -> None:
@@ -255,12 +286,15 @@ class Batcher:
             raise ValueError(f"aging must be > 0: {aging}")
         self._runner = runner
         self.cache = cache
+        self.coalesce = coalesce
         self.window = window
         self.max_batch = max_batch
         self.queue_budget = queue_budget
         self.aging = aging
         self.stats = BatchStats()
         self._queue: list[_Job] = []
+        #: key -> the job computing it, until its future resolves.
+        self._pending: dict[str, _Job] = {}
         self._seq = 0
         #: EWMA of observed per-batch service seconds (None until the
         #: first batch completes; admission never sheds blind).
@@ -283,6 +317,11 @@ class Batcher:
         """Jobs waiting for the next batch window."""
         return len(self._queue)
 
+    @property
+    def inflight(self) -> int:
+        """Keys with a pending job that duplicates can attach to."""
+        return len(self._pending)
+
     def estimated_delay(self) -> float:
         """Estimated seconds for the current queue to drain.
 
@@ -299,37 +338,56 @@ class Batcher:
     async def submit(
         self, config: SimConfig, qos: QoS | None = None, key: str | None = None
     ) -> SimulationResult:
-        """Answer one config from the cache, or queue it for a batch.
+        """Answer one config from the cache or a pending identical job, or
+        queue it for a batch.
 
         ``key`` is the config's :func:`~repro.simulation.pool.config_key`
         if the caller already hashed it; otherwise it is hashed here.
 
-        Identical concurrent configs should be deduplicated *before*
-        submission (the server routes through the
-        :class:`~repro.service.coalescer.Coalescer`); the batcher fuses
-        *distinct* configs.
-
-        ``qos`` carries the request's deadline and priority class.
+        ``qos`` carries the request's deadline and priority class.  A
+        duplicate attaches to a job that was already admitted and
+        inherits its QoS: it is never shed, and its own deadline or
+        priority cannot (and need not) reshape work already scheduled.
         Raises :class:`Overloaded` at admission when the queue budget is
-        exceeded, and the returned future fails with
-        :class:`DeadlineExceeded` if the deadline passes before the
-        job's batch dispatches.
+        exceeded, and :class:`DeadlineExceeded` if the deadline passes
+        before the job's batch dispatches.
         """
         if self._closed:
             raise RuntimeError("batcher is closed")
         loop = asyncio.get_running_loop()
         stages = StageRecord()
+        if key is None and (self.cache is not None or self.coalesce):
+            key = config_key(config)
         if self.cache is not None:
-            if key is None:
-                key = config_key(config)
             t0 = loop.time()
             hit = self.cache.get(key)
             stages.stage("cache_probe", t0, loop.time(), resolved=hit is not None)
             if hit is not None:
+                self.stats.primary += 1
+                _PRIMARY.inc()
                 self.stats.submitted += 1
                 self.stats.cache_hits += 1
                 _CACHE_SLICED.inc()
                 return hit
+        pending = self._pending.get(key) if self.coalesce else None
+        # A resolved job stays mapped until its release callback runs;
+        # a failure or expiry must not be handed to a fresh request.
+        if pending is not None and not pending.future.done():
+            self.stats.coalesced += 1
+            _COALESCED.inc()
+            t0 = loop.time()
+            try:
+                return await asyncio.shield(pending.future)
+            finally:
+                # The duplicate's own stage, linked to the request that
+                # owns the computation; recorded even if it is cancelled.
+                primary_ctx = pending.stages.ctx
+                stages.stage(
+                    "wait", t0, loop.time(), resolved=True, label="coalesced",
+                    links=[primary_ctx.span_id] if primary_ctx is not None else None,
+                )
+        self.stats.primary += 1
+        _PRIMARY.inc()
         qos = qos or QoS()
         if self.queue_budget is not None:
             est = self.estimated_delay()
@@ -353,12 +411,24 @@ class Batcher:
             priority=qos.priority,
             seq=self._seq,
         )
+        if self.coalesce:
+            self._pending[key] = job
+        job.future.add_done_callback(functools.partial(self._release, job))
         self._queue.append(job)
         self.stats.submitted += 1
         _QUEUE_DEPTH.set(len(self._queue))
         if self._drainer is None or self._drainer.done():
             self._drainer = loop.create_task(self._drain_loop())
-        return await job.future
+        return await asyncio.shield(job.future)
+
+    def _release(self, job: _Job, future: asyncio.Future) -> None:
+        """Unregister a resolved job, however it resolved (result, runner
+        error, expiry or cancellation), and retrieve its exception so a
+        failure nobody is left waiting for does not warn."""
+        if self._pending.get(job.key) is job:
+            del self._pending[job.key]
+        if not future.cancelled():
+            future.exception()
 
     def _expire(self, now: float) -> None:
         """Fail every queued job whose deadline has already passed.

@@ -9,22 +9,22 @@ rendering, chunked streaming and the exception-to-status mapping — is
 
 Endpoints (see ``docs/SERVICE.md`` for the full schema):
 
-* ``POST /v1/simulate`` — one scenario; coalesced with identical
-  in-flight configs, micro-batched with concurrent ones.
+* ``POST /v1/simulate`` — one scenario; attached to an identical
+  pending config, micro-batched with concurrent ones.
 * ``POST /v1/sweep`` — a list of cells x a seed axis; every row rides
-  the same coalescer/batcher, so concurrent sweeps fuse with each other
-  and with single simulates.
+  the same batcher, so concurrent sweeps fuse with each other and with
+  single simulates.
 * ``POST /v1/optimize`` — optimal host ratio via the process-wide
-  memoized model (``core.optimizer._MEMO``), coalesced by scenario.
+  memoized model (``core.optimizer._MEMO``), which is its dedup layer.
 * ``GET /metrics`` — the process-global metrics registry in Prometheus
   text format; ``GET /healthz`` — liveness; ``GET /stats`` — service
   counters as JSON (what the benchmark reads).
 
 Every simulate row is hashed once and takes one path: protocol ->
-coalescer -> batcher (which answers cache hits at submit and queues,
-dispatches and writes back only the misses) ->
-:func:`~repro.simulation.pool.run_simulations` with no cache ->
-``simulate_batch``.
+batcher (which answers cache hits at submit, attaches a duplicate to the
+pending job of its key, and queues, dispatches and writes back only the
+remaining misses) -> :func:`~repro.simulation.pool.run_simulations`
+with no cache -> ``simulate_batch``.
 
 Every request has one :class:`~repro.obs.flight.RequestRecord`, opened
 at ingress, current for the request's extent, and finished in a
@@ -39,7 +39,6 @@ one optimizer memo, one metrics registry across every client.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import os
 import signal
@@ -61,7 +60,6 @@ from ..simulation.pool import ResultCache, config_key, run_simulations
 from ..simulation.simulator import SimConfig
 from ..simulation.stats import SimulationResult
 from .batcher import Batcher, StageRecord
-from .coalescer import Coalescer
 from .http import (
     CLIENT_CLOSED,
     MAX_HEADER_BYTES,
@@ -121,8 +119,9 @@ class ServiceConfig:
     max_inflight:
         Concurrent batch dispatches (executor threads).
     coalesce:
-        Deduplicate identical in-flight configs.  Off, every duplicate
-        computes independently (the naive baseline).
+        Deduplicate identical pending simulate rows in the batcher.
+        Off, every duplicate computes independently (the naive
+        baseline).
     slo:
         Latency objectives (:func:`repro.obs.slo.parse_slo` specs like
         ``simulate=50ms:0.99``); burn rates surface in ``/stats`` and
@@ -176,13 +175,13 @@ class ServiceServer:
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
         self.cache = self.config.cache
-        self.coalescer = Coalescer()
         self.batcher = Batcher(
             self._run_batch,
             window=self.config.batch_window,
             max_batch=self.config.max_batch,
             max_inflight=self.config.max_inflight,
             cache=self.cache,
+            coalesce=self.config.coalesce,
             queue_budget=self.config.queue_budget,
             aging=self.config.aging,
         )
@@ -222,14 +221,8 @@ class ServiceServer:
     async def _simulate(
         self, cfg: SimConfig, qos: QoS | None = None
     ) -> SimulationResult:
-        # One hash per row serves the coalescer, probe and write-back.
-        # A coalesced duplicate inherits the primary's QoS: it attaches
-        # to work already admitted and scheduled, so its own deadline or
-        # priority cannot (and need not) reshape that computation.
-        key = config_key(cfg)
-        if not self.config.coalesce:
-            return await self.batcher.submit(cfg, qos, key)
-        return await self.coalescer.get(key, lambda: self.batcher.submit(cfg, qos, key))
+        # One hash per row serves the probe, the dedup and the write-back.
+        return await self.batcher.submit(cfg, qos, config_key(cfg))
 
     async def _handle_simulate(self, body: Any) -> dict:
         qos, body = qos_from_json(body)
@@ -327,38 +320,23 @@ class ServiceServer:
             raise ProtocolError(
                 f"rerun_accounting must be 'paper' or 'staleness': {accounting!r}"
             )
-        key = "optimize:" + canonical_dumps(
-            {
-                "params": dataclasses.asdict(params),
-                "compression": dataclasses.asdict(compression),
-                "rerun_accounting": accounting,
-            }
-        ).decode()
+        loop = asyncio.get_running_loop()
+        job = StageRecord()
+        t0 = loop.time()
 
-        async def _start() -> dict:
-            loop = asyncio.get_running_loop()
-            job = StageRecord()
-            t0 = loop.time()
+        def _blocking():
+            # The memoized model (core.optimizer._MEMO) is process-wide:
+            # every request warms it for every later request.  The
+            # request context is handed across the executor boundary
+            # explicitly (run_in_executor does not copy contextvars).
+            with obs_trace.use_context(job.ctx):
+                with obs_trace.span("optimizer", "compute", label=accounting):
+                    return optimal_host(params, compression, accounting)
 
-            def _blocking():
-                # The memoized model (core.optimizer._MEMO) is process-wide:
-                # every request warms it for every later request.  The
-                # request context is handed across the executor boundary
-                # explicitly (run_in_executor does not copy contextvars).
-                with obs_trace.use_context(job.ctx):
-                    with obs_trace.span("optimizer", "compute", label=accounting):
-                        return optimal_host(params, compression, accounting)
-
-            result = await loop.run_in_executor(None, _blocking)
-            # Its real span is the executor-side one above.
-            job.stage("compute", t0, loop.time(), resolved=True, span=False)
-            return model_result_to_json(result)
-
-        if not self.config.coalesce:
-            payload = await _start()
-        else:
-            payload = await self.coalescer.get(key, _start)
-        return {"optimal": payload}
+        result = await loop.run_in_executor(None, _blocking)
+        # Its real span is the executor-side one above.
+        job.stage("compute", t0, loop.time(), resolved=True, span=False)
+        return {"optimal": model_result_to_json(result)}
 
     def _latency_payload(self) -> dict:
         """p50/p90/p99 of the request-latency histogram, per endpoint."""
@@ -383,9 +361,9 @@ class ServiceServer:
             "latency": self._latency_payload(),
             "slo": self.slo.snapshot(),
             "coalesce": {
-                "primary": self.coalescer.primary,
-                "coalesced": self.coalescer.coalesced,
-                "inflight": len(self.coalescer),
+                "primary": stats.primary,
+                "coalesced": stats.coalesced,
+                "inflight": self.batcher.inflight,
             },
             "batch": {
                 "submitted": stats.submitted,

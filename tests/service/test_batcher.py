@@ -1,6 +1,8 @@
-"""Micro-batcher: fusion, bounded delay, cache probe and write-back, determinism."""
+"""Micro-batcher: fusion, bounded delay, cache probe and write-back,
+single-flight dedup, determinism."""
 
 import asyncio
+import gc
 import threading
 import time
 
@@ -8,7 +10,8 @@ import pytest
 
 from repro.obs import trace
 from repro.obs.flight import RequestRecord
-from repro.service.batcher import Batcher
+from repro.service.batcher import Batcher, DeadlineExceeded, Overloaded
+from repro.service.protocol import QoS
 from repro.simulation import ResultCache, SimConfig, config_key, simulate
 
 
@@ -288,6 +291,264 @@ class TestStageRecords:
         assert warm["resolved"] < cold["resolved"]
         kinds = sorted(r["kind"] for r in tracer.records if r["lane"] == "batcher")
         assert kinds == ["cache_probe", "cache_probe", "compute", "window"]
+
+
+class CountingRunner:
+    """Counts the rows it receives and answers each with a fresh object,
+    optionally holding every call until ``gate`` is set or failing."""
+
+    def __init__(self, fail=False):
+        self.rows = 0
+        self.calls = 0
+        self.fail = fail
+        self.gate = threading.Event()
+        self.gate.set()
+
+    def __call__(self, configs):
+        self.calls += 1
+        self.rows += len(configs)
+        assert self.gate.wait(timeout=10)
+        if self.fail:
+            raise RuntimeError("engine exploded")
+        return [object() for _ in configs]
+
+
+class TestSingleFlight:
+    """A miss whose key is already pending attaches to that job's future:
+    one computation, the same result object for every waiter, and
+    cancellation isolated to the waiter that was cancelled."""
+
+    def test_concurrent_duplicates_share_one_computation(self, params):
+        runner = CountingRunner()
+
+        async def main():
+            batcher = Batcher(runner, window=0.01)
+            try:
+                c = cfg(params, seed=1)
+                out = await asyncio.gather(*(batcher.submit(c) for _ in range(5)))
+                return out, batcher
+            finally:
+                batcher.close()
+
+        out, batcher = asyncio.run(main())
+        assert (runner.calls, runner.rows) == (1, 1)
+        assert all(r is out[0] for r in out)  # the same object
+        assert (batcher.stats.primary, batcher.stats.coalesced) == (1, 4)
+        assert batcher.stats.submitted == 1
+        assert batcher.inflight == 0
+
+    def test_distinct_keys_compute_independently(self, params):
+        runner = CountingRunner()
+
+        async def main():
+            batcher = Batcher(runner, window=0.01)
+            try:
+                return await asyncio.gather(
+                    batcher.submit(cfg(params, seed=1)),
+                    batcher.submit(cfg(params, seed=2)),
+                )
+            finally:
+                batcher.close()
+
+        a, b = asyncio.run(main())
+        assert runner.rows == 2
+        assert a is not b
+
+    def test_sequential_repeats_recompute(self, params):
+        """Only *pending* work is shared; without a cache a finished key
+        computes again."""
+        runner = CountingRunner()
+
+        async def main():
+            batcher = Batcher(runner, window=0.0)
+            try:
+                c = cfg(params, seed=1)
+                first = await batcher.submit(c)
+                second = await batcher.submit(c)
+                return first, second, batcher
+            finally:
+                batcher.close()
+
+        first, second, batcher = asyncio.run(main())
+        assert runner.rows == 2 and first is not second
+        assert batcher.stats.coalesced == 0 and batcher.inflight == 0
+
+    def test_shared_failure_fans_out(self, params):
+        runner = CountingRunner(fail=True)
+
+        async def main():
+            batcher = Batcher(runner, window=0.01)
+            try:
+                c = cfg(params, seed=1)
+                return await asyncio.gather(
+                    *(batcher.submit(c) for _ in range(3)), return_exceptions=True
+                )
+            finally:
+                batcher.close()
+
+        done = asyncio.run(main())
+        assert runner.rows == 1
+        assert all(isinstance(d, RuntimeError) for d in done)
+        assert all(d is done[0] for d in done)
+
+    def test_cancelling_one_waiter_does_not_starve_the_others(self, params):
+        """A client disconnecting mid-flight leaves its attached siblings
+        (and the computation itself) untouched."""
+        runner = CountingRunner()
+        runner.gate.clear()
+
+        async def main():
+            batcher = Batcher(runner, window=0.0)
+            try:
+                c = cfg(params, seed=1)
+                primary = asyncio.ensure_future(batcher.submit(c))
+                await asyncio.sleep(0.02)  # queued and dispatched
+                dups = [asyncio.ensure_future(batcher.submit(c)) for _ in range(2)]
+                await asyncio.sleep(0)
+                dups[0].cancel()
+                runner.gate.set()
+                with pytest.raises(asyncio.CancelledError):
+                    await dups[0]
+                return await primary, await dups[1]
+            finally:
+                batcher.close()
+
+        a, b = asyncio.run(main())
+        assert a is b
+        assert runner.rows == 1
+
+    def test_cancelling_the_primary_keeps_computation_alive(self, params):
+        runner = CountingRunner()
+        runner.gate.clear()
+
+        async def main():
+            batcher = Batcher(runner, window=0.0)
+            try:
+                c = cfg(params, seed=1)
+                primary = asyncio.ensure_future(batcher.submit(c))
+                await asyncio.sleep(0.02)
+                follower = asyncio.ensure_future(batcher.submit(c))
+                await asyncio.sleep(0)
+                primary.cancel()
+                runner.gate.set()
+                out = await follower
+                assert primary.cancelled()
+                return out
+            finally:
+                batcher.close()
+
+        assert asyncio.run(main()) is not None
+        assert (runner.calls, runner.rows) == (1, 1)
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_all_waiters_cancelled_orphan_is_released(self, params, fail):
+        """Every waiter gone: the computation still finishes and its key
+        is released, and an orphaned failure does not trip the loop's
+        "exception was never retrieved" report."""
+        runner = CountingRunner(fail=fail)
+        runner.gate.clear()
+        reports = []
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, ctx: reports.append(ctx)
+            )
+            batcher = Batcher(runner, window=0.0)
+            try:
+                c = cfg(params, seed=1)
+                waiters = [asyncio.ensure_future(batcher.submit(c)) for _ in range(2)]
+                await asyncio.sleep(0.02)
+                for w in waiters:
+                    w.cancel()
+                await asyncio.gather(*waiters, return_exceptions=True)
+                runner.gate.set()
+                for _ in range(1000):  # until the orphaned job is released
+                    if not batcher.inflight:
+                        break
+                    await asyncio.sleep(0.005)
+                return batcher.inflight
+            finally:
+                batcher.close()
+
+        assert asyncio.run(main()) == 0
+        gc.collect()  # an unretrieved failure is reported when collected
+        assert runner.rows == 1
+        assert reports == []
+
+    def test_failed_key_computes_again_on_the_next_submit(self, params):
+        runner = CountingRunner(fail=True)
+
+        async def main():
+            batcher = Batcher(runner, window=0.0)
+            try:
+                c = cfg(params, seed=1)
+                with pytest.raises(RuntimeError):
+                    await batcher.submit(c)
+                runner.fail = False
+                return await batcher.submit(c)
+            finally:
+                batcher.close()
+
+        assert asyncio.run(main()) is not None
+        assert runner.rows == 2
+
+    def test_expired_key_computes_again_on_the_next_submit(self, params):
+        runner = CountingRunner()
+
+        async def main():
+            batcher = Batcher(runner, window=0.05)
+            try:
+                c = cfg(params, seed=1)
+                with pytest.raises(DeadlineExceeded):
+                    await batcher.submit(c, QoS(deadline_s=0.001))
+                out = await batcher.submit(c)
+                return out, batcher.stats
+            finally:
+                batcher.close()
+
+        out, stats = asyncio.run(main())
+        assert out is not None
+        assert stats.expired == 1 and runner.rows == 1
+
+    @pytest.mark.parametrize("coalesce", [True, False])
+    def test_every_row_counts_once_as_primary_or_coalesced(
+        self, params, tmp_path, coalesce
+    ):
+        """``primary + coalesced`` is the number of rows submitted, hits
+        and shed rows included."""
+        cache = ResultCache(tmp_path / "simcache")
+        warm, cold, other = (cfg(params, seed=s) for s in range(3))
+        cache.put(config_key(warm), simulate(warm))
+
+        async def main():
+            batcher = Batcher(
+                SpyRunner(), window=0.01, cache=cache, coalesce=coalesce,
+                queue_budget=1.0,
+            )
+            # A batch "costs" 10 s, so any row queued behind another is
+            # shed; an attached duplicate joins admitted work instead.
+            batcher._batch_ewma = 10.0
+            rows = [warm, warm, cold, cold, cold, other]
+            try:
+                out = await asyncio.gather(
+                    *(batcher.submit(c) for c in rows), return_exceptions=True
+                )
+                return rows, out, batcher.stats
+            finally:
+                batcher.close()
+
+        rows, out, stats = asyncio.run(main())
+        shed = sum(isinstance(r, Overloaded) for r in out)
+        assert stats.primary + stats.coalesced == len(rows)
+        assert stats.shed == shed
+        assert stats.cache_hits == 2
+        if coalesce:
+            assert (stats.primary, stats.coalesced, shed) == (4, 2, 1)
+        else:
+            assert (stats.primary, stats.coalesced, shed) == (6, 0, 3)
+        for c, r in zip(rows, out):
+            if not isinstance(r, Overloaded):
+                assert r == simulate(c)
 
 
 class TestValidation:

@@ -129,6 +129,22 @@ class TestOptimize:
         optimal = json.loads(first)["optimal"]
         assert {"config", "efficiency", "ratio", "tau"} <= set(optimal)
 
+    def test_concurrent_identical_requests_get_identical_bodies(self, server):
+        """Optimize requests are not coalesced: eight concurrent
+        identical requests each run the optimizer (the process-wide
+        memo is the dedup layer) and get the same bytes."""
+        body = {"params": {"mtti": 650.0}, "compression": "none"}
+
+        def fire(_):
+            with ServiceClient("127.0.0.1", server.port) as c:
+                return c.post_raw("/v1/optimize", body)
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            blobs = list(pool.map(fire, range(8)))
+        assert len(blobs) == 8
+        assert all(blob == blobs[0] for blob in blobs)
+        assert "optimal" in json.loads(blobs[0])
+
     def test_bad_accounting_rejected(self, client):
         with pytest.raises(ServiceError) as err:
             client.optimize({"rerun_accounting": "optimism"})
@@ -248,6 +264,34 @@ class SpyCache(ResultCache):
 class TestOnePath:
     """Every row is probed once and written once, by the batcher alone."""
 
+    @pytest.mark.parametrize("coalesce", [True, False])
+    def test_stats_coalesce_counts_every_simulate_row_once(self, tmp_path, coalesce):
+        """``/stats`` ``coalesce.primary + coalesced`` is the number of
+        simulate rows (single simulates and sweep rows, warm or cold);
+        optimize requests are not in it."""
+        cache = ResultCache(tmp_path / "simcache")
+        config = ServiceConfig(port=0, jobs=1, cache=cache, coalesce=coalesce)
+        bodies = [dict(BODY, seed=s) for s in (80, 80, 80, 81)]
+        sweep = {"configs": [dict(BODY, seed=80)], "seeds": [80, 82]}
+        with BackgroundServer(config) as srv:
+
+            def fire(body):
+                with ServiceClient("127.0.0.1", srv.port) as c:
+                    return c.post_raw("/v1/simulate", body)
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                blobs = list(pool.map(fire, bodies))
+            with ServiceClient("127.0.0.1", srv.port) as c:
+                c.sweep(sweep)
+                c.optimize({"params": {"mtti": 600.0}})
+                stats = c.stats()
+        assert blobs == [expected_bytes(b) for b in bodies]
+        counted = stats["coalesce"]
+        assert counted["primary"] + counted["coalesced"] == len(bodies) + 2
+        assert counted["inflight"] == 0
+        if not coalesce:
+            assert counted["coalesced"] == 0
+
     def test_sweep_rows_probe_and_write_once(self, tmp_path):
         cells = [dict(BODY), dict(BODY, strategy="host", ratio=2)]
         sweep = {"configs": cells, "seeds": [0, 1, 2]}
@@ -278,7 +322,7 @@ class TestOnePath:
         assert errors.value() - before == 1
 
     def test_each_row_is_hashed_once(self, tmp_path, monkeypatch):
-        """The server's key serves the coalescer, the probe and the
+        """The server's key serves the probe, the dedup and the
         write-back: one ``config_key`` call per row, cold or warm."""
         import repro.service.batcher as batcher_mod
         import repro.service.server as server_mod

@@ -19,8 +19,8 @@ from repro.service import (
     config_from_json,
     result_to_json,
 )
-from repro.service.coalescer import Coalescer
-from repro.simulation import simulate
+from repro.service.batcher import Batcher
+from repro.simulation import SimConfig, simulate
 from repro.simulation.pool import ResultCache
 
 BODY = {"params": {"mtti": 600.0}, "strategy": "ndp", "work_mttis": 3, "seed": 1}
@@ -180,7 +180,7 @@ class TestRequestTrees:
     def test_concurrent_sweeps_yield_connected_single_root_trees(self, server):
         """ISSUE acceptance: a traced /v1/sweep under concurrent load
         produces one connected span tree per request — ingress →
-        coalescer → batcher → pool chunks → fastpath groups."""
+        batcher → pool chunks → fastpath groups."""
         tracer = trace.configure()
         ids = [f"aaaa{i:012x}" for i in range(4)]
 
@@ -206,7 +206,7 @@ class TestRequestTrees:
             # Every tree reaches the compute: the batch leader holds the
             # real compute span with the pool/fastpath subtree, riders
             # carry a shared-compute interval linking the leader's span.
-            assert {"request", "wait", "window", "compute"} <= kinds
+            assert {"request", "window", "compute"} <= kinds
             if "chunk" in kinds:
                 assert "batch" in kinds  # fastpath groups under the chunks
                 leaders += 1
@@ -291,86 +291,102 @@ class TestServerTiming:
 
 
 class TestCoalescedTraces:
+    """A duplicate attached to a pending job records its own batcher
+    ``wait`` stage, linked to the request that owns the computation."""
+
     def _run(self, coro):
         return asyncio.run(coro)
 
-    def test_duplicate_waiter_links_primary_wait_span(self):
+    @staticmethod
+    def _gated_batcher():
+        gate = threading.Event()
+
+        def runner(configs):
+            assert gate.wait(timeout=10)
+            return [42 for _ in configs]
+
+        return Batcher(runner, window=0.0), gate
+
+    @staticmethod
+    def _config(params):
+        return SimConfig(params=params, strategy="ndp", work=params.mtti, seed=1)
+
+    def test_duplicate_waiter_links_primary_wait_span(self, params):
         tracer = trace.configure()
+        c = self._config(params)
 
         async def scenario():
-            co = Coalescer()
-            gate: asyncio.Future = None
-
-            async def compute():
-                await gate
-                return 42
+            batcher, gate = self._gated_batcher()
 
             async def primary():
                 with trace.use_context(trace.TraceContext("t-primary")):
-                    return await co.get("k", compute)
+                    with trace.span("server", "request") as sp:
+                        return await batcher.submit(c), sp.ctx_id
 
             async def duplicate():
                 await asyncio.sleep(0.01)  # let the primary register
                 with trace.use_context(trace.TraceContext("t-dup")):
-                    return await co.get("k", compute)
+                    with trace.span("server", "request"):
+                        return await batcher.submit(c)
 
-            gate = asyncio.get_running_loop().create_future()
             p = asyncio.ensure_future(primary())
             d = asyncio.ensure_future(duplicate())
             await asyncio.sleep(0.05)
-            gate.set_result(None)
-            return await asyncio.gather(p, d)
+            gate.set()
+            try:
+                return await asyncio.gather(p, d)
+            finally:
+                batcher.close()
 
-        assert self._run(scenario()) == [42, 42]
-        primary_wait = next(
-            r for r in tracer.records
-            if r["kind"] == "wait" and r["label"] == "primary"
-        )
+        (out, primary_ctx), dup_out = self._run(scenario())
+        assert out == dup_out == 42
         dup_wait = next(
             r for r in tracer.records
             if r["kind"] == "wait" and r["label"] == "coalesced"
         )
-        assert primary_wait["trace_id"] == "t-primary"
+        assert dup_wait["lane"] == "batcher"
         assert dup_wait["trace_id"] == "t-dup"
-        assert dup_wait["links"] == [primary_wait["ctx"]]
+        assert dup_wait["links"] == [primary_ctx]
+        # The primary's own tree holds the window and the compute.
+        primary_kinds = {
+            r["kind"] for r in tracer.records if r["trace_id"] == "t-primary"
+        }
+        assert {"request", "window", "compute"} <= primary_kinds
         assert trace.validate_request_trees(tracer.records)["orphans"] == []
 
-    def test_cancelled_duplicate_still_records_and_compute_survives(self):
+    def test_cancelled_duplicate_still_records_and_compute_survives(self, params):
         tracer = trace.configure()
+        c = self._config(params)
 
         async def scenario():
-            co = Coalescer()
-            gate = None
-
-            async def compute():
-                await gate
-                return "done"
+            batcher, gate = self._gated_batcher()
 
             async def waiter(tid):
                 with trace.use_context(trace.TraceContext(tid)):
-                    return await co.get("k", compute)
+                    return await batcher.submit(c)
 
-            gate = asyncio.get_running_loop().create_future()
             p = asyncio.ensure_future(waiter("t-a"))
             await asyncio.sleep(0.01)
             d = asyncio.ensure_future(waiter("t-b"))
             await asyncio.sleep(0.01)
             d.cancel()
             await asyncio.sleep(0.01)
-            gate.set_result(None)
-            result = await p
+            gate.set()
+            try:
+                result = await p
+            finally:
+                batcher.close()
             assert d.cancelled()
             return result
 
-        assert self._run(scenario()) == "done"
+        assert self._run(scenario()) == 42
         dup_wait = next(
             r for r in tracer.records
             if r["kind"] == "wait" and r["label"] == "coalesced"
         )
         assert dup_wait["trace_id"] == "t-b"  # recorded despite cancellation
         assert next(
-            r for r in tracer.records
-            if r["kind"] == "wait" and r["label"] == "primary"
+            r for r in tracer.records if r["kind"] == "compute"
         )["trace_id"] == "t-a"
 
 
