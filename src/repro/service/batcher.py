@@ -12,10 +12,11 @@ queue up; a drain task sleeps for a bounded ``window`` (the latency
 price of batching, default a few milliseconds), then drains up to
 ``max_batch`` jobs and dispatches them to a thread-pool executor running
 the blocking batch runner (:func:`~repro.simulation.pool.run_simulations`,
-which fuses the configs of each worker chunk into one ``simulate_batch``
-pass).  While a dispatch computes, new arrivals accumulate into the next
-batch — the same continuous-batching discipline VELOC's engine queue
-applies to checkpoint flushes.
+which gives each pool worker one chunk and runs it as one
+``simulate_batch`` pass: at the default ``jobs=1`` the whole batch is
+one pass).  While a dispatch computes, new arrivals accumulate into the
+next batch — the same continuous-batching discipline VELOC's engine
+queue applies to checkpoint flushes.
 
 The batcher owns the result cache on the service path: ``submit`` probes
 it once per row, on the event loop, and answers a hit at once, so only

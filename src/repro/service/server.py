@@ -204,15 +204,26 @@ class ServiceServer:
             obs_metrics.REGISTRY.set_constant_labels(
                 worker=str(self.config.worker_index)
             )
+        if self.config.stats_dir is not None:
+            # The supervisor's crash accounting, read from its
+            # ``supervisor.json`` at scrape time (0 before any crash).
+            obs_metrics.REGISTRY.gauge(
+                "repro_supervisor_restarts", "worker respawns by the prefork supervisor"
+            ).set_function(lambda: self._supervisor_state().get("restarts", 0))
+            obs_metrics.REGISTRY.gauge(
+                "repro_supervisor_gave_up",
+                "worker slots the prefork supervisor stopped respawning",
+            ).set_function(lambda: len(self._supervisor_state().get("gave_up", ())))
 
     # -- the blocking batch runner (executor thread) -------------------------
 
     def _run_batch(self, configs: list[SimConfig]) -> Sequence[SimulationResult]:
         """Run one fused batch of cache misses through the pool runtime.
 
-        ``run_simulations`` fuses each chunk's configs into a single
-        ``simulate_batch`` call.  It gets no cache: the batcher already
-        probed every row and writes the results back itself.
+        ``run_simulations`` gives each pool worker one chunk and runs it
+        as one ``simulate_batch`` call, so at the default ``jobs=1`` the
+        whole batch is one fused pass.  It gets no cache: the batcher
+        already probed every row and writes the results back itself.
         """
         return run_simulations(configs, jobs=self.config.jobs)
 
@@ -425,12 +436,19 @@ class ServiceServer:
                 continue  # sibling mid-replace or gone; skip this scrape
         workers.sort(key=lambda w: w.get("worker", -1))
         out["workers"] = workers
+        supervisor = self._supervisor_state()
+        if supervisor:
+            out["supervisor"] = supervisor
+        return out
+
+    def _supervisor_state(self) -> dict:
+        """The supervisor's last ``supervisor.json`` (``restarts`` and the
+        ``gave_up`` slots), or ``{}`` before its first crash."""
         try:
-            out["supervisor"] = json.loads(
+            return json.loads(
                 (Path(self.config.stats_dir) / "supervisor.json").read_text())
         except (OSError, json.JSONDecodeError):
-            pass  # no crash yet: the supervisor has published nothing
-        return out
+            return {}  # no crash yet: the supervisor has published nothing
 
     # -- routes ----------------------------------------------------------------
 

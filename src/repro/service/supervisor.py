@@ -43,7 +43,9 @@ exponentially, and a slot that crashes :data:`MAX_CONSECUTIVE_CRASHES`
 times in a row is left dead (``WorkerSupervisor.gave_up``) instead of
 crash-looping.  On every crash the parent writes ``supervisor.json``
 (``restarts`` and the sorted ``gave_up`` slots) into ``stats_dir``, so
-any surviving worker's ``/stats`` reports it.
+any surviving worker's ``/stats`` reports it, and its ``/metrics``
+exports it as ``repro_supervisor_restarts`` and
+``repro_supervisor_gave_up``.
 
 Determinism is untouched: workers share the on-disk
 :class:`~repro.simulation.pool.ResultCache` (atomic, multi-writer-safe

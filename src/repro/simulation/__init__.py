@@ -17,7 +17,6 @@ from .pool import (
     ResultCache,
     chunk_indices,
     config_key,
-    max_chunk,
     parallel_map,
     resolve_jobs,
     run_simulations,
@@ -39,7 +38,6 @@ __all__ = [
     "ResultCache",
     "chunk_indices",
     "config_key",
-    "max_chunk",
     "parallel_map",
     "resolve_jobs",
     "run_simulations",

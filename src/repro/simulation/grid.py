@@ -32,7 +32,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .batch import _t95
-from .pool import ChunkTiming, ResultCache, resolve_jobs, run_simulations
+from .pool import ChunkTiming, ResultCache, run_simulations
 from .simulator import SimConfig, SimulationResult
 
 __all__ = ["GridResult", "simulate_grid"]
@@ -127,9 +127,9 @@ def simulate_grid(
     ``engine`` overrides every config's engine (default ``"fast"``:
     the vectorized path is the point; pass ``None`` to keep per-config
     choices, or ``"des"`` to force the oracle).  ``jobs``/``cache``
-    compose with the pool runtime as usual.  ``chunk_size`` defaults to
-    an even split of the whole grid across workers so each worker runs
-    one big batch instead of many small ones.
+    compose with the pool runtime as usual; by default each worker runs
+    one chunk, so the whole grid is one ``simulate_batch`` pass per
+    worker.
     """
     shape, flat = _flatten(configs)
     seeds = tuple(int(s) for s in seeds)
@@ -138,8 +138,6 @@ def simulate_grid(
     if engine is not None:
         flat = [replace(cfg, engine=engine) for cfg in flat]
     rows = [replace(cfg, seed=s) for cfg in flat for s in seeds]
-    if chunk_size is None:
-        chunk_size = max(1, math.ceil(len(rows) / resolve_jobs(jobs)))
     results = run_simulations(
         rows,
         jobs=jobs,

@@ -55,7 +55,6 @@ __all__ = [
     "ResultCache",
     "chunk_indices",
     "config_key",
-    "max_chunk",
     "parallel_map",
     "resolve_jobs",
     "run_simulations",
@@ -69,39 +68,6 @@ __all__ = [
 #: real ``host_stall_time``); ``engine="fast"`` results recorded under
 #: schema 2 came from the approximate closed form and must not be served.
 CACHE_SCHEMA = 3
-
-#: Baseline upper bound on seeds per chunk: small enough that progress
-#: callbacks stay responsive, large enough to amortize pickling and IPC.
-#: For large batches the effective cap scales up (see :func:`max_chunk`)
-#: so a service-fused 10k-config batch is not shattered into hundreds of
-#: tiny IPC chunks.
-_CHUNK_BASE = 16
-
-#: Environment override for the chunk cap (``REPRO_CHUNK=<n>``).
-_CHUNK_ENV = "REPRO_CHUNK"
-
-
-def max_chunk(total: int, jobs: int) -> int:
-    """The chunk-size cap for a batch of ``total`` runs on ``jobs`` workers.
-
-    ``REPRO_CHUNK`` overrides it outright.  Otherwise the cap is the
-    baseline 16 for interactive-scale sweeps but grows with the batch so
-    one batch never splits into more than ~16 chunks per worker: huge
-    service-fused batches keep IPC chunks proportionally big (and each
-    chunk's fast-engine configs run as **one** ``simulate_batch`` call,
-    so bigger chunks mean bigger fused passes).  Chunking never affects
-    results — only where each config executes.
-    """
-    env = os.environ.get(_CHUNK_ENV)
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"{_CHUNK_ENV} must be an integer: {env!r}") from None
-        if cap < 1:
-            raise ValueError(f"{_CHUNK_ENV} must be >= 1: {cap}")
-        return cap
-    return max(_CHUNK_BASE, math.ceil(total / (16 * max(1, jobs))))
 
 # Batch-runtime counters: chunk/run volume plus result-cache traffic, so
 # a sweep's parallel efficiency and cache hit rate show up in
@@ -144,19 +110,17 @@ def resolve_jobs(jobs: int | None) -> int:
 def chunk_indices(total: int, jobs: int, chunk_size: int | None = None) -> list[range]:
     """Split ``range(total)`` into contiguous chunks for the pool.
 
-    The default size aims at ~4 chunks per worker (load balancing against
-    per-chunk overhead), capped by :func:`max_chunk` so progress reporting
-    stays fine-grained on small sweeps while huge batches keep their
-    chunks proportionally big.
+    The default is one chunk per worker (``ceil(total / jobs)`` runs
+    each, so ``min(total, jobs)`` chunks): every chunk's fast-engine
+    configs run as one ``simulate_batch`` pass, whose cost per row falls
+    as the pass widens, so an inline run (``jobs=1``) is one fused pass.
     """
     if total < 0:
         raise ValueError("total must be >= 0")
     if total == 0:
         return []
     if chunk_size is None:
-        chunk_size = max(
-            1, min(max_chunk(total, jobs), math.ceil(total / (4 * max(1, jobs))))
-        )
+        chunk_size = math.ceil(total / max(1, jobs))
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1: {chunk_size}")
     return [range(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
@@ -204,9 +168,17 @@ def config_key(config: SimConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+_RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(SimulationResult))
+_BREAKDOWN_FIELDS = tuple(f.name for f in dataclasses.fields(OverheadBreakdown))
+
+
 def _result_to_dict(result: SimulationResult) -> dict:
-    out = dataclasses.asdict(result)
-    out["breakdown"] = dataclasses.asdict(result.breakdown)
+    """``dataclasses.asdict(result)``, key for key, without its deep copy
+    (every field is a scalar, so there is nothing to copy)."""
+    out = {name: getattr(result, name) for name in _RESULT_FIELDS}
+    out["breakdown"] = {
+        name: getattr(result.breakdown, name) for name in _BREAKDOWN_FIELDS
+    }
     return out
 
 
@@ -414,10 +386,12 @@ def run_simulations(
         :func:`config_key` before any worker is spawned and stored as
         they finish.
     chunk_size:
-        Seeds per work unit (default: auto, ~4 chunks per worker).
+        Seeds per work unit (default: one chunk per worker, see
+        :func:`chunk_indices`).
     progress:
         Called as ``progress(done, total)`` after every completed chunk
-        and once for the cache-served portion.
+        and once for the cache-served portion, so a default inline run
+        reports once for the cache hits and once when its pass ends.
     timings:
         Optional list that receives one :class:`ChunkTiming` per executed
         chunk — per-chunk wall time and the worker pid that ran it.

@@ -177,6 +177,32 @@ class TestObservability:
 
                 assert _wait_until(lambda: indexes() == {0, 1})
 
+    def test_metrics_read_supervisor_json_at_scrape_time(self, tmp_path):
+        """``repro_supervisor_restarts`` and ``repro_supervisor_gave_up``
+        follow whatever ``supervisor.json`` says when /metrics is
+        scraped, and read 0 before the supervisor has written one."""
+
+        def series(c):
+            lines = c.get_raw("/metrics").decode().splitlines()
+            return {
+                name: float(line.split()[-1])
+                for line in lines
+                for name in ("repro_supervisor_restarts", "repro_supervisor_gave_up")
+                if line.startswith(name + " ") or line.startswith(name + "{")
+            }
+
+        config = ServiceConfig(port=0, jobs=1, stats_dir=str(tmp_path))
+        with BackgroundServer(config) as srv:
+            with ServiceClient("127.0.0.1", srv.port) as c:
+                before = series(c)
+                (tmp_path / "supervisor.json").write_text(
+                    json.dumps({"restarts": 7, "gave_up": [1, 3]}))
+                after = series(c)
+                stats = json.loads(c.get_raw("/stats"))
+        assert before == {"repro_supervisor_restarts": 0.0, "repro_supervisor_gave_up": 0.0}
+        assert after == {"repro_supervisor_restarts": 7.0, "repro_supervisor_gave_up": 2.0}
+        assert stats["supervisor"] == {"restarts": 7, "gave_up": [1, 3]}
+
     def test_reuse_port_flag_reflects_platform(self):
         with WorkerSupervisor(ServiceConfig(port=0, jobs=1), procs=1) as sup:
             assert sup.reuse_port == SO_REUSEPORT_AVAILABLE

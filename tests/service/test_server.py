@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.obs.metrics import REGISTRY
 from repro.service import (
     BackgroundServer,
     ServiceClient,
@@ -118,6 +119,34 @@ class TestSweep:
             {"configs": [dict(BODY)], "seeds": [0], "detail": True}
         )
         assert len(res["cells"][0]["results"]) == 1
+
+
+class TestFusedDispatch:
+    def test_two_sweeps_in_one_dispatch_are_one_pool_chunk(self):
+        """A fused batch runs as one ``simulate_batch`` pass per pool
+        worker: at ``jobs=1`` two 64-row sweeps in one window are one
+        dispatch and one pool chunk."""
+        cells = [dict(BODY, strategy=s) for s in ("ndp", "host", "io-only", "local-only")]
+        sweeps = [
+            {"configs": cells, "seeds": list(range(lo, lo + 16))} for lo in (100, 200)
+        ]
+        chunks = REGISTRY.counter("pool_chunks_total")
+        config = ServiceConfig(port=0, jobs=1, batch_window=0.5)
+        with BackgroundServer(config) as srv:
+
+            def fire(body):
+                with ServiceClient("127.0.0.1", srv.port) as c:
+                    return c.sweep(body)
+
+            before = chunks.value()
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                answers = list(pool.map(fire, sweeps))
+            after = chunks.value()
+            with ServiceClient("127.0.0.1", srv.port) as c:
+                batch = c.stats()["batch"]
+        assert [a["n_cells"] * a["n_seeds"] for a in answers] == [64, 64]
+        assert (batch["batches"]["fast"], batch["max_batch_seen"]) == (1, 128)
+        assert after - before == 1
 
 
 class TestOptimize:

@@ -1,19 +1,19 @@
-"""Batched ResultCache lookups, cache robustness, and the adaptive chunk cap."""
+"""Batched ResultCache lookups, cache robustness, the stored entry format,
+and the pool's one-chunk-per-worker rule."""
 
 import errno
-import math
 import sys
 import threading
 
 import pytest
 
+from repro.core.breakdown import OverheadBreakdown
 from repro.obs.metrics import REGISTRY
-from repro.simulation import SimConfig, simulate
+from repro.simulation import SimConfig, SimulationResult, fastpath, simulate
 from repro.simulation.pool import (
     ResultCache,
     chunk_indices,
     config_key,
-    max_chunk,
     run_simulations,
 )
 
@@ -128,39 +128,65 @@ class TestCacheRobustness:
         assert (cache.hits, cache.misses) == (8 * 50 * 4, 8 * 50 * 4)
 
 
-class TestAdaptiveChunkCap:
-    def test_small_batches_keep_the_baseline_cap(self):
-        assert max_chunk(10, 1) == 16
-        assert max_chunk(256, 4) == 16
+class TestOneChunkPerWorker:
+    def test_chunk_indices_one_per_worker(self):
+        for total in (1, 2, 7, 64, 128, 10_000):
+            for jobs in (1, 2, 3, 8, 200):
+                chunks = chunk_indices(total, jobs)
+                assert len(chunks) == min(total, jobs)
+                assert [i for c in chunks for i in c] == list(range(total))
 
-    def test_huge_batches_scale_to_sixteen_chunks_per_worker(self):
-        for total, jobs in [(10_000, 1), (10_000, 4), (100_000, 8)]:
-            cap = max_chunk(total, jobs)
-            assert cap == max(16, math.ceil(total / (16 * jobs)))
-            assert math.ceil(total / cap) <= 16 * jobs
+    def test_inline_run_is_one_fused_pass(self, params, monkeypatch):
+        """The default inline run hands every fast row to one
+        ``simulate_batch`` call, counted as one pool chunk."""
+        batch = [cfg(params, seed=s, strategy=st) for s in range(20) for st in ("ndp", "host")]
+        serial = tuple(simulate(c) for c in batch)
+        calls = []
+        real = fastpath.simulate_batch
 
-    def test_chunk_indices_respects_the_cap(self):
-        chunks = chunk_indices(10_000, 1)
-        assert max(len(c) for c in chunks) <= max_chunk(10_000, 1)
-        assert sum(len(c) for c in chunks) == 10_000
+        def spy(configs):
+            calls.append(len(configs))
+            return real(configs)
 
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK", "5")
-        assert max_chunk(10, 1) == 5
-        assert max_chunk(1_000_000, 32) == 5
-        chunks = chunk_indices(23, 1)
-        assert [len(c) for c in chunks] == [5, 5, 5, 5, 3]
+        monkeypatch.setattr(fastpath, "simulate_batch", spy)
+        chunks = REGISTRY.counter("pool_chunks_total")
+        before = chunks.value()
+        assert run_simulations(batch) == serial
+        assert calls == [len(batch)]
+        assert chunks.value() - before == 1
 
-    def test_bad_env_override_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK", "zero")
-        with pytest.raises(ValueError, match="integer"):
-            max_chunk(10, 1)
-        monkeypatch.setenv("REPRO_CHUNK", "0")
-        with pytest.raises(ValueError, match=">= 1"):
-            max_chunk(10, 1)
+    def test_explicit_chunk_size_is_honoured(self, params):
+        batch = [cfg(params, seed=s) for s in range(11)]
+        timings = []
+        assert run_simulations(batch, chunk_size=3, timings=timings) == run_simulations(batch)
+        assert [t.size for t in timings] == [3, 3, 3, 2]
 
-    def test_chunking_never_changes_results(self, params, monkeypatch):
-        batch = [cfg(params, seed=s) for s in range(12)]
-        baseline = run_simulations(batch)
-        monkeypatch.setenv("REPRO_CHUNK", "3")
-        assert run_simulations(batch) == baseline
+
+class TestStoredBytes:
+    def test_entry_bytes_are_pinned(self, tmp_path):
+        """The on-disk entry format: every field in declaration order,
+        ``json.dumps`` defaults.  A change here orphans every cache."""
+        result = SimulationResult(
+            work=5400.0, wall_time=5671.838393308013, efficiency=0.952072260445794,
+            breakdown=OverheadBreakdown(
+                compute=0.9520722604457933, checkpoint_local=0.04607559581416679,
+                restore_local=0.0013164455946904797, rerun_local=0.0005356981453494698,
+            ),
+            failures=1, recoveries_local=1, recoveries_io=0, io_checkpoints=4,
+            local_checkpoints=35, host_stall_time=0.1, recoveries_partner=2,
+            partner_checkpoints=3,
+        )
+        cache = ResultCache(tmp_path)
+        key = "ab" * 32
+        cache.put(key, result)
+        assert (tmp_path / "ab" / f"{key}.json").read_bytes() == (
+            b'{"work": 5400.0, "wall_time": 5671.838393308013, "efficiency": '
+            b'0.952072260445794, "breakdown": {"compute": 0.9520722604457933, '
+            b'"checkpoint_local": 0.04607559581416679, "checkpoint_io": 0.0, '
+            b'"restore_local": 0.0013164455946904797, "restore_io": 0.0, '
+            b'"rerun_local": 0.0005356981453494698, "rerun_io": 0.0}, '
+            b'"failures": 1, "recoveries_local": 1, "recoveries_io": 0, '
+            b'"io_checkpoints": 4, "local_checkpoints": 35, "host_stall_time": 0.1, '
+            b'"recoveries_partner": 2, "partner_checkpoints": 3}'
+        )
+        assert cache.get(key) == result
