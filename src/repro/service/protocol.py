@@ -35,7 +35,7 @@ from ..core.configs import (
 )
 from ..core.model import ModelResult
 from ..simulation.simulator import SimConfig, default_work
-from ..simulation.stats import SimulationResult
+from ..simulation.stats import result_to_json
 
 __all__ = [
     "ProtocolError",
@@ -251,13 +251,6 @@ def sweep_rows_from_json(body: Any) -> tuple[list[SimConfig], int, int]:
 
 
 # -- responses --------------------------------------------------------------------
-
-
-def result_to_json(result: SimulationResult) -> dict:
-    """A :class:`SimulationResult` as a plain JSON-able dict."""
-    out = dataclasses.asdict(result)
-    out["breakdown"] = dataclasses.asdict(result.breakdown)
-    return out
 
 
 def model_result_to_json(result: ModelResult) -> dict:

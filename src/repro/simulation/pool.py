@@ -48,7 +48,7 @@ from ..core.breakdown import OverheadBreakdown
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .simulator import SimConfig, simulate
-from .stats import SimulationResult
+from .stats import SimulationResult, result_to_json
 
 __all__ = [
     "ChunkTiming",
@@ -129,26 +129,38 @@ def chunk_indices(total: int, jobs: int, chunk_size: int | None = None) -> list[
 # -- config hashing and the on-disk result cache --------------------------------
 
 
+#: Field names per dataclass type, so keying a config reflects on each
+#: type once per process instead of once per call.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _field_names(cls: type) -> tuple[str, ...]:
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    return names
+
+
 def _canonical(obj: object) -> object:
     """A JSON-able canonical form of nested (frozen) dataclasses.
 
     Floats go through ``repr`` so the key distinguishes every distinct
     double (including ``inf``) and never depends on print precision.
+    Scalars are checked before the dataclass walk, which reads each
+    type's cached field names.
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        body = {
-            f.name: _canonical(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-        body["__type__"] = type(obj).__name__
-        return body
     if isinstance(obj, float):
         return repr(obj)
     if isinstance(obj, (list, tuple)):
         return [_canonical(v) for v in obj]
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    raise TypeError(f"cannot canonicalize {type(obj).__name__} for cache keying")
+    cls = type(obj)
+    if dataclasses.is_dataclass(cls):
+        body = {name: _canonical(getattr(obj, name)) for name in _field_names(cls)}
+        body["__type__"] = cls.__name__
+        return body
+    raise TypeError(f"cannot canonicalize {cls.__name__} for cache keying")
 
 
 def config_key(config: SimConfig) -> str:
@@ -159,33 +171,23 @@ def config_key(config: SimConfig) -> str:
     invalidate stale cache entries wholesale.
     """
     body = {
-        f.name: _canonical(getattr(config, f.name))
-        for f in dataclasses.fields(config)
-        if f.name != "trace"
+        name: _canonical(getattr(config, name))
+        for name in _field_names(type(config))
+        if name != "trace"
     }
     body["__schema__"] = CACHE_SCHEMA
     blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-_RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(SimulationResult))
-_BREAKDOWN_FIELDS = tuple(f.name for f in dataclasses.fields(OverheadBreakdown))
-
-
-def _result_to_dict(result: SimulationResult) -> dict:
-    """``dataclasses.asdict(result)``, key for key, without its deep copy
-    (every field is a scalar, so there is nothing to copy)."""
-    out = {name: getattr(result, name) for name in _RESULT_FIELDS}
-    out["breakdown"] = {
-        name: getattr(result.breakdown, name) for name in _BREAKDOWN_FIELDS
-    }
-    return out
-
-
 def _result_from_dict(data: dict) -> SimulationResult:
     data = dict(data)
     data["breakdown"] = OverheadBreakdown(**data["breakdown"])
     return SimulationResult(**data)
+
+
+#: Most decoded entries one :class:`ResultCache` keeps in memory.
+MEMO_ENTRIES = 1024
 
 
 class ResultCache:
@@ -197,16 +199,27 @@ class ResultCache:
     schema version — changing any scenario knob, the seed, or the
     simulator semantics (schema bump) misses the cache by construction.
 
+    In front of the files sits a per-process memo of decoded entries:
+    :meth:`get` keeps up to ``MEMO_ENTRIES`` results it read, evicting the
+    oldest insertion first, so a repeated key costs a dict lookup instead
+    of a file open and a JSON decode.  Only :meth:`get` fills it (a torn
+    file is a miss, never memoized, and is repaired by the next
+    :meth:`put`).  A memo hit counts in ``hits`` like a file hit, so the
+    counters mean what they did without it.  Each process holds its own
+    memo; prefork service workers share results only through the
+    directory.
+
     Corrupt or unreadable entries are treated as misses, never errors,
     and :meth:`put_many` skips (and counts) entries it cannot write: the
-    cache may lose an entry, never an answer.  The ``hits``/``misses``
-    counters are safe to bump from concurrent threads.
+    cache may lose an entry, never an answer.  The counters and the memo
+    are safe to use from concurrent threads.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
+        self._memo: dict[str, SimulationResult] = {}
         self._lock = threading.Lock()
 
     @classmethod
@@ -217,21 +230,34 @@ class ResultCache:
             return cls(env)
         return cls(Path.home() / ".cache" / "repro" / "simcache")
 
+    def _file(self, key: str, suffix: str = ".json") -> str:
+        """The entry's file, ``<root>/<key[:2]>/<key><suffix>``, as a string."""
+        return f"{self.root}/{key[:2]}/{key}{suffix}"
+
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._file(key))
 
     def get(self, key: str) -> SimulationResult | None:
         """The cached result for ``key``, or ``None`` on a miss."""
-        path = self._path(key)
+        with self._lock:
+            result = self._memo.get(key)
+            if result is not None:
+                self.hits += 1
+                return result
         try:
-            data = json.loads(path.read_text())
-            result = _result_from_dict(data)
+            with open(self._file(key), "rb") as fh:
+                result = _result_from_dict(json.loads(fh.read()))
         except (OSError, ValueError, TypeError, KeyError):
             with self._lock:
                 self.misses += 1
             return None
         with self._lock:
             self.hits += 1
+            memo = self._memo
+            if key not in memo:
+                if len(memo) >= MEMO_ENTRIES:
+                    del memo[next(iter(memo))]
+                memo[key] = result
         return result
 
     #: Monotonic per-process tmp-name disambiguator (see :meth:`put`).
@@ -250,14 +276,25 @@ class ResultCache:
         succeed; last writer wins, which is indistinguishable from one
         writer because equal keys imply equal bytes (determinism
         contract).
+
+        Writing is tried first; the shard directory is created only when
+        the write finds it missing (a new shard, or a wiped cache root),
+        and the write is then retried once.
         """
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(
-            f".tmp.{os.getpid()}.{threading.get_ident()}.{next(self._tmp_seq)}"
+        data = json.dumps(result_to_json(result)).encode()
+        try:
+            self._write(key, data)
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(self._file(key)), exist_ok=True)
+            self._write(key, data)
+
+    def _write(self, key: str, data: bytes) -> None:
+        tmp = self._file(
+            key, f".tmp.{os.getpid()}.{threading.get_ident()}.{next(self._tmp_seq)}"
         )
-        tmp.write_text(json.dumps(_result_to_dict(result)))
-        tmp.replace(path)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, self._file(key))
 
     def get_many(self, keys: Iterable[str]) -> dict[str, SimulationResult]:
         """One batched sweep: ``{key: result}`` for every key that hits.

@@ -9,11 +9,11 @@ produces — making model-vs-simulation comparison a one-liner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..core.breakdown import OverheadBreakdown
 
-__all__ = ["TimeAccounting", "SimulationResult"]
+__all__ = ["TimeAccounting", "SimulationResult", "result_to_json"]
 
 _CATEGORIES = OverheadBreakdown.component_names()
 
@@ -91,3 +91,22 @@ class SimulationResult:
     host_stall_time: float
     recoveries_partner: int = 0
     partner_checkpoints: int = 0
+
+
+_RESULT_FIELDS = tuple(f.name for f in fields(SimulationResult))
+_BREAKDOWN_FIELDS = tuple(f.name for f in fields(OverheadBreakdown))
+
+
+def result_to_json(result: SimulationResult) -> dict:
+    """A :class:`SimulationResult` as a plain JSON-able dict.
+
+    The one converter: the service renders responses from it and the
+    result cache writes its entries from it.  The dict equals
+    ``dataclasses.asdict(result)`` key for key and in the same order, but
+    is built field by field: every field is a scalar except ``breakdown``
+    (itself all scalars), so ``asdict``'s deep copy has nothing to copy.
+    """
+    out = {name: getattr(result, name) for name in _RESULT_FIELDS}
+    breakdown = result.breakdown
+    out["breakdown"] = {name: getattr(breakdown, name) for name in _BREAKDOWN_FIELDS}
+    return out

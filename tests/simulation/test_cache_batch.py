@@ -1,7 +1,9 @@
-"""Batched ResultCache lookups, cache robustness, the stored entry format,
-and the pool's one-chunk-per-worker rule."""
+"""Batched ResultCache lookups, cache robustness, the in-process memo,
+the stored entry format, and the pool's one-chunk-per-worker rule."""
 
 import errno
+import os
+import shutil
 import sys
 import threading
 
@@ -9,8 +11,9 @@ import pytest
 
 from repro.core.breakdown import OverheadBreakdown
 from repro.obs.metrics import REGISTRY
-from repro.simulation import SimConfig, SimulationResult, fastpath, simulate
+from repro.simulation import SimConfig, SimulationResult, fastpath, pool, simulate
 from repro.simulation.pool import (
+    MEMO_ENTRIES,
     ResultCache,
     chunk_indices,
     config_key,
@@ -126,6 +129,114 @@ class TestCacheRobustness:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert (cache.hits, cache.misses) == (8 * 50 * 4, 8 * 50 * 4)
+
+    def test_put_after_the_root_was_wiped_still_lands(self, params, tmp_path):
+        cache = ResultCache(tmp_path / "simcache")
+        (result,) = run_simulations([cfg(params)])
+        key = config_key(cfg(params))
+        cache.put(key, result)
+        shutil.rmtree(tmp_path / "simcache")
+        cache.put(key, result)
+        assert ResultCache(tmp_path / "simcache").get(key) == result
+
+    def test_put_into_an_existing_shard_makes_no_directory(
+        self, params, tmp_path, monkeypatch
+    ):
+        cache = ResultCache(tmp_path)
+        (result,) = run_simulations([cfg(params)])
+        cache.put("ab" * 32, result)  # creates the shard
+        made = []
+        real = os.makedirs
+
+        def makedirs(*args, **kwargs):
+            made.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pool.os, "makedirs", makedirs)
+        cache.put("ab" + "cd" * 31, result)
+        cache.put("ef" * 32, result)  # a new shard: one makedirs
+        assert made == [(f"{tmp_path}/ef",)]
+        assert cache.get("ab" + "cd" * 31) == cache.get("ef" * 32) == result
+
+
+class TestMemo:
+    """The per-process memo of decoded entries inside ``ResultCache``."""
+
+    @pytest.fixture
+    def result(self, params):
+        (result,) = run_simulations([cfg(params)])
+        return result
+
+    def test_never_grows_past_its_bound(self, result, tmp_path):
+        cache = ResultCache(tmp_path)
+        keys = [f"{i:064x}" for i in range(MEMO_ENTRIES + 10)]
+        for key in keys:
+            cache.put(key, result)
+        for key in keys:
+            assert cache.get(key) == result
+        assert len(cache._memo) == MEMO_ENTRIES
+        assert list(cache._memo) == keys[10:]  # the oldest went first
+        assert (cache.hits, cache.misses) == (len(keys), 0)
+
+    def test_memo_hit_counts_and_returns_an_equal_result(self, result, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "ab" * 32
+        cache.put(key, result)
+        first = cache.get(key)
+        assert cache.get(key) is first  # served from the memo
+        assert first == result
+        assert (cache.hits, cache.misses) == (2, 0)
+
+    def test_deleted_file_after_a_memo_hit_is_still_served(self, result, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "ab" * 32
+        cache.put(key, result)
+        assert cache.get(key) == result
+        os.remove(cache._path(key))
+        assert cache.get(key) == result
+        assert (cache.hits, cache.misses) == (2, 0)
+
+    def test_put_does_not_fill_the_memo(self, result, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "ab" * 32
+        cache.put(key, result)
+        assert cache._memo == {}
+        cache._path(key).write_text("{torn")
+        assert cache.get(key) is None  # the file, not a memo, answered
+        assert cache._memo == {}
+
+    def test_concurrent_gets_over_more_keys_than_the_bound(
+        self, result, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(pool, "MEMO_ENTRIES", 8)
+        cache = ResultCache(tmp_path)
+        keys = [f"{i:064x}" for i in range(40)]
+        for key in keys:
+            cache.put(key, result)
+        errors: list[BaseException] = []
+
+        def probe(offset: int) -> None:
+            try:
+                for _ in range(20):
+                    for key in keys[offset:] + keys[:offset]:
+                        assert cache.get(key) == result
+            except Exception as exc:  # reported below, on the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=probe, args=(5 * t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(cache._memo) <= 8
+        assert (cache.hits, cache.misses) == (8 * 20 * len(keys), 0)
 
 
 class TestOneChunkPerWorker:
