@@ -592,7 +592,8 @@ def multiproc_leg(quick: bool) -> dict:
 
 
 def smoke(port: int = 0) -> int:
-    """Boot a server, fire a mixed burst, check /metrics counters moved."""
+    """Boot a server, fire a mixed burst, check /metrics counters moved
+    and equal their /stats counts."""
     corpus = build_corpus(8, 3.0)
     with BackgroundServer(ServiceConfig(port=port, cache=None)) as bg:
         with ServiceClient("127.0.0.1", bg.port) as client:
@@ -616,6 +617,27 @@ def smoke(port: int = 0) -> int:
     missing = [m for m in required if m not in text]
     if missing:
         print(f"smoke: /metrics missing {missing}", file=sys.stderr)
+        return 1
+    # Each batcher series is the same count as its /stats field.
+    series = dict(
+        line.rsplit(" ", 1) for line in text.splitlines()
+        if line.startswith("service_") and " " in line
+    )
+    batch = stats["batch"]
+    pairs = {
+        "service_batches_total": batch["batches"]["fast"],
+        "service_batched_requests_total": batch["batched_jobs"]["fast"],
+        "service_coalesce_primary_total": stats["coalesce"]["primary"],
+        "service_coalesced_total": stats["coalesce"]["coalesced"],
+        "service_batch_cache_hits_total": batch["cache_hits"],
+    }
+    differ = {
+        name: (series.get(name), want)
+        for name, want in pairs.items()
+        if float(series.get(name, "nan")) != want
+    }
+    if differ:
+        print(f"smoke: /metrics != /stats (metrics, stats): {differ}", file=sys.stderr)
         return 1
     # Every simulate row is counted once, as primary or coalesced
     # (coalesced duplicates are not in ``submitted``).

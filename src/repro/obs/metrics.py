@@ -10,13 +10,17 @@ Three instrument types, all label-aware:
 
 * :class:`Counter` — monotonically increasing totals
   (``cr_checkpoints_total{mode="ndp"}``).
-* :class:`Gauge` — point-in-time values, settable directly or bound to a
-  callback evaluated at snapshot time (:meth:`Gauge.set_function`) —
-  the adapter mechanism that surfaces the pre-existing
-  :class:`~repro.ckpt.metrics.StageCounter` /
-  :class:`~repro.ckpt.metrics.RuntimeMetrics` /
-  ``DrainStats`` objects without changing their callers.
+* :class:`Gauge` — point-in-time values.
 * :class:`Histogram` — bucketed distributions (span durations).
+
+A counter or gauge cell is either updated in place (``inc``/``set``) or
+bound to a callback evaluated at read time (``set_function``).  Binding
+is the adapter mechanism: the pre-existing
+:class:`~repro.ckpt.metrics.StageCounter` /
+:class:`~repro.ckpt.metrics.RuntimeMetrics` / ``DrainStats`` objects
+and the service batcher's ``BatchStats`` keep the one count, and the
+registry reads it at snapshot time.  A bound counter still exports as
+``counter``.
 
 Everything is guarded by one registry lock; updates are a dict get +
 float add, cheap enough for per-block (1 MiB) granularity but not meant
@@ -53,7 +57,8 @@ def _label_key(labels: dict[str, Any]) -> tuple:
 
 
 class _Instrument:
-    """Common machinery: name, help text, labelled value cells."""
+    """Common machinery: name, help text, labelled value cells, and
+    cells bound to a callback."""
 
     kind = "untyped"
 
@@ -62,17 +67,48 @@ class _Instrument:
         self.help = help
         self._lock = lock
         self._values: dict[tuple, Any] = {}
+        self._callbacks: dict[tuple, Callable[[], float]] = {}
+
+    def set_function(self, fn: Callable[[], float], **labels: Any) -> None:
+        """Bind the labelled cell to ``fn``, evaluated at read time.
+
+        This is the adapter hook: a live object (a ``DrainStats``, a
+        ``BatchStats``) exposes a field by closure, and every snapshot
+        sees its current value.  Re-binding the same labels replaces the
+        previous callback.
+        """
+        with self._lock:
+            self._callbacks[_label_key(labels)] = fn
+
+    def value(self, **labels: Any) -> float:
+        """Current value of the labelled cell (callback cells are
+        evaluated; 0.0 if never touched)."""
+        key = _label_key(labels)
+        with self._lock:
+            fn = self._callbacks.get(key)
+            if fn is None:
+                return self._values.get(key, 0.0)
+        return float(fn())
 
     def clear(self) -> None:
-        """Drop every labelled cell (used by ``registry.reset()``)."""
+        """Drop every cell and binding (used by ``registry.reset()``)."""
         with self._lock:
             self._values.clear()
+            self._callbacks.clear()
 
     def samples(self) -> list[tuple[dict[str, str], Any]]:
         """``(labels, value)`` pairs, deterministically ordered."""
         with self._lock:
-            items = sorted(self._values.items())
-        return [(dict(key), value) for key, value in items]
+            merged = dict(self._values)
+            callbacks = dict(self._callbacks)
+        for key, fn in callbacks.items():
+            try:
+                merged[key] = float(fn())
+            except Exception:
+                # A dead adapter (its object torn down mid-snapshot) must
+                # not take the whole exporter with it.
+                merged[key] = math.nan
+        return [(dict(key), value) for key, value in sorted(merged.items())]
 
 
 class Counter(_Instrument):
@@ -88,20 +124,11 @@ class Counter(_Instrument):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, **labels: Any) -> float:
-        """Current total for the labelled cell (0.0 if never touched)."""
-        with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
-
 
 class Gauge(_Instrument):
-    """A point-in-time value; settable or callback-backed."""
+    """A point-in-time value."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str, lock: threading.Lock):
-        super().__init__(name, help, lock)
-        self._callbacks: dict[tuple, Callable[[], float]] = {}
 
     def set(self, value: float, **labels: Any) -> None:
         """Set the labelled cell to ``value``."""
@@ -117,45 +144,6 @@ class Gauge(_Instrument):
     def dec(self, amount: float = 1.0, **labels: Any) -> None:
         """Shorthand for ``inc(-amount)``."""
         self.inc(-amount, **labels)
-
-    def set_function(self, fn: Callable[[], float], **labels: Any) -> None:
-        """Bind the labelled cell to ``fn``, evaluated at read time.
-
-        This is the adapter hook: a live object (a ``DrainStats``, a
-        ``RuntimeMetrics``) exposes a field by closure, and every
-        snapshot sees its current value.  Re-binding the same labels
-        replaces the previous callback.
-        """
-        with self._lock:
-            self._callbacks[_label_key(labels)] = fn
-
-    def value(self, **labels: Any) -> float:
-        """Current value (callback cells are evaluated)."""
-        key = _label_key(labels)
-        with self._lock:
-            fn = self._callbacks.get(key)
-            if fn is None:
-                return self._values.get(key, 0.0)
-        return float(fn())
-
-    def clear(self) -> None:
-        with self._lock:
-            self._values.clear()
-            self._callbacks.clear()
-
-    def samples(self) -> list[tuple[dict[str, str], Any]]:
-        with self._lock:
-            static = dict(self._values)
-            callbacks = dict(self._callbacks)
-        merged: dict[tuple, float] = dict(static)
-        for key, fn in callbacks.items():
-            try:
-                merged[key] = float(fn())
-            except Exception:
-                # A dead adapter (its object torn down mid-snapshot) must
-                # not take the whole exporter with it.
-                merged[key] = math.nan
-        return [(dict(key), value) for key, value in sorted(merged.items())]
 
 
 #: Default histogram buckets, tuned for span durations in seconds.
@@ -181,6 +169,10 @@ class Histogram(_Instrument):
         if edges[-1] != math.inf:
             edges = edges + (math.inf,)
         self.buckets = edges
+
+    def set_function(self, fn: Callable[[], float], **labels: Any) -> None:
+        """Refused: a distribution has no single live value to read."""
+        raise MetricError(f"histogram {self.name} cannot be bound to a callback")
 
     def observe(self, value: float, exemplar: str | None = None, **labels: Any) -> None:
         """Record one observation.
@@ -342,7 +334,7 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """JSON-able view: ``{name: {type, help, samples: [...]}}``.
 
-        Gauge callbacks are evaluated at snapshot time, so adapters over
+        Callback cells are evaluated at snapshot time, so adapters over
         live objects report their *current* state.
         """
         with self._lock:

@@ -99,58 +99,38 @@ class Overloaded(Exception):
         super().__init__(message)
         self.retry_after = retry_after
 
-_BATCHES = obs_metrics.REGISTRY.counter(
-    "service_batches_total", "fused simulation batches dispatched"
-)
-_BATCHED = obs_metrics.REGISTRY.counter(
-    "service_batched_requests_total", "simulate jobs dispatched inside batches"
-)
-_QUEUE_DEPTH = obs_metrics.REGISTRY.gauge(
-    "service_queue_depth", "simulate jobs waiting for the next batch window"
-)
 _BATCH_SECONDS = obs_metrics.REGISTRY.histogram(
     "service_batch_seconds", "wall seconds per dispatched batch"
-)
-_CACHE_SLICED = obs_metrics.REGISTRY.counter(
-    "service_batch_cache_hits_total",
-    "simulate jobs resolved from the result cache at submit, before queueing",
-)
-_SHED = obs_metrics.REGISTRY.counter(
-    "service_shed_total",
-    "simulate jobs rejected at admission (queue budget exceeded)",
-)
-_EXPIRED = obs_metrics.REGISTRY.counter(
-    "service_expired_total",
-    "simulate jobs whose deadline passed before dispatch (answered without computing)",
-)
-_COALESCED = obs_metrics.REGISTRY.counter(
-    "service_coalesced_total",
-    "simulate rows attached to a pending job of the same config",
-)
-_PRIMARY = obs_metrics.REGISTRY.counter(
-    "service_coalesce_primary_total",
-    "simulate rows not attached to a pending job (hits, queued misses, shed rows)",
 )
 
 
 @dataclass
 class BatchStats:
-    """Aggregate batching counters (the benchmark's raw material)."""
+    """The batcher's event counts: each is the one count of its event.
 
-    #: Rows accepted: cache hits plus queued misses (shed rows and
-    #: coalesced duplicates excluded).
-    submitted: int = 0
+    Every field is updated in place on the event-loop thread, with no
+    lock, and ``/stats`` and ``/metrics`` both read these fields
+    (``/metrics`` at scrape time, through callbacks bound in
+    :class:`Batcher`).  Cache hits are not counted here: the cache's
+    own ``hits`` is that count.
+    """
+
     #: Every row is exactly one of these: ``coalesced`` attached to a
-    #: pending job of the same key, ``primary`` did not (hits and shed
-    #: rows included).
+    #: pending job of the same key, ``primary`` did not (hits, queued
+    #: misses and shed rows).
     primary: int = 0
     coalesced: int = 0
     batches: int = 0
     batched_jobs: int = 0
     max_batch_seen: int = 0
-    cache_hits: int = 0
     shed: int = 0
     expired: int = 0
+
+    @property
+    def submitted(self) -> int:
+        """Rows accepted: cache hits plus queued misses.  A shed row is
+        primary but never accepted; a coalesced duplicate is neither."""
+        return self.primary - self.shed
 
     def mean_batch_size(self) -> float:
         """Mean jobs per dispatched batch (0.0 if none)."""
@@ -307,10 +287,46 @@ class Batcher:
             max_workers=max_inflight, thread_name_prefix="repro-batch"
         )
         self._closed = False
+        # /metrics reads this batcher's own counts when it is scraped.
+        # The registry is process-wide, so the series follow the batcher
+        # constructed last (a server process holds one).
+        stats = self.stats
+        for name, help, read in (
+            ("service_batches_total", "fused simulation batches dispatched",
+             lambda: stats.batches),
+            ("service_batched_requests_total", "simulate jobs dispatched inside batches",
+             lambda: stats.batched_jobs),
+            ("service_batch_cache_hits_total",
+             "simulate jobs resolved from the result cache at submit, before queueing",
+             lambda: cache.hits if cache is not None else 0),
+            ("service_shed_total",
+             "simulate jobs rejected at admission (queue budget exceeded)",
+             lambda: stats.shed),
+            ("service_expired_total",
+             "simulate jobs whose deadline passed before dispatch "
+             "(answered without computing)",
+             lambda: stats.expired),
+            ("service_coalesced_total",
+             "simulate rows attached to a pending job of the same config",
+             lambda: stats.coalesced),
+            ("service_coalesce_primary_total",
+             "simulate rows not attached to a pending job (hits, queued misses, shed rows)",
+             lambda: stats.primary),
+        ):
+            obs_metrics.REGISTRY.counter(name, help).set_function(read)
+        obs_metrics.REGISTRY.gauge(
+            "service_queue_depth", "simulate jobs waiting for the next batch window"
+        ).set_function(lambda: len(self._queue))
 
     def close(self) -> None:
-        """Stop accepting work and release the executor threads."""
+        """Stop accepting work, fail every job still queued, and release
+        the executor threads."""
         self._closed = True
+        closed = RuntimeError("batcher closed")
+        for job in self._queue:
+            if not job.future.done():
+                job.future.set_exception(closed)
+        self._queue = []
         self._executor.shutdown(wait=False, cancel_futures=True)
 
     @property
@@ -365,17 +381,12 @@ class Batcher:
             stages.stage("cache_probe", t0, loop.time(), resolved=hit is not None)
             if hit is not None:
                 self.stats.primary += 1
-                _PRIMARY.inc()
-                self.stats.submitted += 1
-                self.stats.cache_hits += 1
-                _CACHE_SLICED.inc()
                 return hit
         pending = self._pending.get(key) if self.coalesce else None
         # A resolved job stays mapped until its release callback runs;
         # a failure or expiry must not be handed to a fresh request.
         if pending is not None and not pending.future.done():
             self.stats.coalesced += 1
-            _COALESCED.inc()
             t0 = loop.time()
             try:
                 return await asyncio.shield(pending.future)
@@ -388,13 +399,11 @@ class Batcher:
                     links=[primary_ctx.span_id] if primary_ctx is not None else None,
                 )
         self.stats.primary += 1
-        _PRIMARY.inc()
         qos = qos or QoS()
         if self.queue_budget is not None:
             est = self.estimated_delay()
             if est > self.queue_budget:
                 self.stats.shed += 1
-                _SHED.inc()
                 raise Overloaded(
                     f"queue drain estimate {est:.3f}s exceeds the "
                     f"{self.queue_budget:.3f}s budget",
@@ -416,8 +425,6 @@ class Batcher:
             self._pending[key] = job
         job.future.add_done_callback(functools.partial(self._release, job))
         self._queue.append(job)
-        self.stats.submitted += 1
-        _QUEUE_DEPTH.set(len(self._queue))
         if self._drainer is None or self._drainer.done():
             self._drainer = loop.create_task(self._drain_loop())
         return await asyncio.shield(job.future)
@@ -443,7 +450,6 @@ class Batcher:
         for job in self._queue:
             if job.deadline < now:
                 self.stats.expired += 1
-                _EXPIRED.inc()
                 job.stages.stage("expired", job.enqueued, now)
                 if not job.future.done():
                     job.future.set_exception(
@@ -481,7 +487,6 @@ class Batcher:
             self._queue.sort(key=lambda j: j.sort_key(now, self.aging))
             take = min(self.max_batch, len(self._queue))
             jobs, self._queue = self._queue[:take], self._queue[take:]
-            _QUEUE_DEPTH.set(len(self._queue))
             if not jobs:
                 self._sem.release()
                 continue
@@ -562,8 +567,6 @@ class Batcher:
                 else 0.3 * (t1 - t0) + 0.7 * self._batch_ewma
             )
             _BATCH_SECONDS.observe(t1 - t0)
-            _BATCHES.inc()
-            _BATCHED.inc(len(jobs))
             self.stats.batches += 1
             self.stats.batched_jobs += len(jobs)
             self.stats.max_batch_seen = max(self.stats.max_batch_seen, len(jobs))

@@ -382,7 +382,7 @@ class ServiceServer:
                 "batched_jobs": {"fast": stats.batched_jobs},
                 "mean_fast_batch": stats.mean_batch_size(),
                 "max_batch_seen": stats.max_batch_seen,
-                "cache_hits": stats.cache_hits,
+                "cache_hits": getattr(self.cache, "hits", 0),
                 "queue_depth": self.batcher.queue_depth,
                 "shed": stats.shed,
                 "expired": stats.expired,

@@ -53,26 +53,31 @@ class TestGauge:
         g.dec()
         assert g.value() == 6.0
 
-    def test_callback_evaluated_at_read(self, reg):
+    @pytest.mark.parametrize("kind", ["counter", "gauge"])
+    def test_callback_evaluated_at_read(self, reg, kind):
         state = {"v": 1.0}
-        g = reg.gauge("live")
+        g = getattr(reg, kind)("live")
         g.set_function(lambda: state["v"])
         assert g.value() == 1.0
         state["v"] = 7.0
         assert g.value() == 7.0
+        assert f"# TYPE live {kind}\nlive 7" in reg.render_prometheus()
 
-    def test_callback_rebind_replaces(self, reg):
-        g = reg.gauge("live")
+    @pytest.mark.parametrize("kind", ["counter", "gauge"])
+    def test_callback_rebind_replaces(self, reg, kind):
+        g = getattr(reg, kind)("live")
         g.set_function(lambda: 1.0)
         g.set_function(lambda: 2.0)
         assert g.value() == 2.0
 
-    def test_dead_callback_yields_nan_in_samples(self, reg):
-        g = reg.gauge("live")
+    @pytest.mark.parametrize("kind", ["counter", "gauge"])
+    def test_dead_callback_yields_nan_in_samples(self, reg, kind):
+        g = getattr(reg, kind)("live")
         g.set_function(lambda: 1 / 0)
         ((labels, value),) = g.samples()
         assert labels == {}
         assert math.isnan(value)
+        assert "live NaN" in reg.render_prometheus()
 
 
 class TestHistogram:
@@ -89,6 +94,10 @@ class TestHistogram:
     def test_inf_bucket_appended(self, reg):
         h = reg.histogram("latency", buckets=(1.0,))
         assert h.buckets == (1.0, math.inf)
+
+    def test_callback_binding_refused(self, reg):
+        with pytest.raises(MetricError, match="callback"):
+            reg.histogram("latency").set_function(lambda: 1.0)
 
     def test_default_buckets_end_at_inf(self):
         assert DEFAULT_BUCKETS[-1] == math.inf

@@ -10,6 +10,7 @@ import pytest
 
 from repro.obs import trace
 from repro.obs.flight import RequestRecord
+from repro.obs.metrics import REGISTRY
 from repro.service.batcher import Batcher, DeadlineExceeded, Overloaded
 from repro.service.protocol import QoS
 from repro.simulation import ResultCache, SimConfig, config_key, simulate
@@ -130,6 +131,31 @@ class TestFailure:
         done = asyncio.run(main())
         assert all(isinstance(d, RuntimeError) for d in done)
 
+    def test_close_fails_jobs_queued_behind_a_busy_slot(self, params):
+        """``close`` answers every queued job: the row computing resolves,
+        the rows waiting for its dispatch slot fail at once."""
+
+        def slow(configs):
+            time.sleep(0.3)
+            return [simulate(c) for c in configs]
+
+        async def main():
+            batcher = Batcher(slow, window=0.0, max_batch=1, max_inflight=1)
+            rows = [
+                asyncio.ensure_future(batcher.submit(cfg(params, seed=s)))
+                for s in range(3)
+            ]
+            await asyncio.sleep(0.05)
+            batcher.close()
+            return await asyncio.wait_for(
+                asyncio.gather(*rows, return_exceptions=True), timeout=5
+            )
+
+        first, *queued = asyncio.run(main())
+        assert first == simulate(cfg(params, seed=0))
+        assert [str(r) for r in queued] == ["batcher closed"] * 2
+        assert all(isinstance(r, RuntimeError) for r in queued)
+
     def test_closed_batcher_rejects_submissions(self, params):
         async def main():
             batcher = Batcher(lambda configs: [], window=0.0)
@@ -162,7 +188,7 @@ class TestMissOnlySlicing:
         out, stats = asyncio.run(main())
         dispatched = {c.seed for g in runner.groups for c in g}
         assert dispatched == {0, 2}  # the warm seeds were sliced out
-        assert stats.cache_hits == 2
+        assert cache.hits == 2
         # Byte-identity contract: hits and misses alike match serial.
         for c, r in zip(configs, out):
             assert r == simulate(c)
@@ -184,7 +210,7 @@ class TestMissOnlySlicing:
 
         out, stats = asyncio.run(main())
         assert runner.groups == []
-        assert stats.cache_hits == 3
+        assert cache.hits == 3
         assert stats.batches == 0  # no engine pass happened
         assert out == [simulate(c) for c in configs]
 
@@ -201,8 +227,8 @@ class TestMissOnlySlicing:
             finally:
                 batcher.close()
 
-        stats = asyncio.run(main())
-        assert stats.cache_hits == 0
+        asyncio.run(main())
+        assert REGISTRY.counter("service_batch_cache_hits_total").value() == 0
         assert sum(len(g) for g in runner.groups) == 3
 
 
@@ -256,8 +282,8 @@ class TestHitsResolveAtSubmit:
 
         out, stats = asyncio.run(main())
         assert out == [simulate(c) for c in configs] * 2
-        assert (stats.submitted, stats.cache_hits, stats.batched_jobs) == (10, 7, 3)
-        assert stats.submitted == stats.cache_hits + stats.batched_jobs
+        assert (stats.submitted, cache.hits, stats.batched_jobs) == (10, 7, 3)
+        assert stats.submitted == cache.hits + stats.batched_jobs
         assert cache.hits + cache.misses == stats.submitted
 
 
@@ -541,7 +567,7 @@ class TestSingleFlight:
         shed = sum(isinstance(r, Overloaded) for r in out)
         assert stats.primary + stats.coalesced == len(rows)
         assert stats.shed == shed
-        assert stats.cache_hits == 2
+        assert cache.hits == 2
         if coalesce:
             assert (stats.primary, stats.coalesced, shed) == (4, 2, 1)
         else:

@@ -496,3 +496,72 @@ class TestWarmHitRobustness:
                         c.simulate(poisoned)
                 assert exc.value.status == 500
                 assert [f.result() for f in futs] == [expected_bytes(b) for b in queued]
+
+
+def metric_values(text: str) -> dict[str, float]:
+    """Unlabelled sample lines of a Prometheus text body, by name."""
+    out = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            name, _, value = line.rpartition(" ")
+            out[name] = float(value)
+    return out
+
+
+class TestOneCountPerEvent:
+    def test_stats_and_metrics_read_one_number_per_quantity(self, tmp_path):
+        """Each batcher series in ``/metrics`` is the same number as its
+        ``/stats`` field, for the server answering, even after another
+        server ran in the same process."""
+        with BackgroundServer(ServiceConfig(port=0, jobs=1)) as srv:
+            with ServiceClient("127.0.0.1", srv.port) as c:
+                c.simulate(dict(BODY, seed=70))
+                c.sweep({"configs": [BODY] * 2, "seeds": [71]})
+        config = ServiceConfig(
+            port=0,
+            jobs=1,
+            cache=ResultCache(tmp_path / "simcache"),
+            batch_window=0.02,
+            queue_budget=0.05,
+        )
+        warm = dict(BODY, seed=72)
+        with BackgroundServer(config) as srv:
+            batcher = srv.server.batcher
+            with ServiceClient("127.0.0.1", srv.port) as c:
+                c.simulate(warm)  # the miss that warms the cache
+                for _ in range(2):
+                    assert c.post_raw("/v1/simulate", warm) == expected_bytes(warm)
+                # Two identical rows in one sweep: the second attaches
+                # to the first's pending job.
+                c.sweep({"configs": [BODY] * 2, "seeds": [73]})
+                with pytest.raises(ServiceError) as expired:
+                    c.simulate(dict(BODY, seed=74, deadline_ms=1))
+                # A batch now "costs" 10 s: the sweep's first cold row is
+                # admitted, and its second, queued behind it, is shed.
+                batcher._batch_ewma = 10.0
+                with pytest.raises(ServiceError) as shed:
+                    c.sweep({"configs": [BODY], "seeds": [75, 76]})
+                deadline = time.monotonic() + 10.0
+                while (batcher.queue_depth or batcher.inflight) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                stats = c.stats()
+                text = c.metrics_text()
+        assert (expired.value.status, shed.value.status) == (504, 503)
+        batch, coalesce = stats["batch"], stats["coalesce"]
+        assert batch["cache_hits"] == stats["cache"]["hits"] == 2
+        assert batch["shed"] == batch["expired"] == coalesce["coalesced"] == 1
+        want = {
+            "service_batches_total": batch["batches"]["fast"],
+            "service_batched_requests_total": batch["batched_jobs"]["fast"],
+            "service_batch_cache_hits_total": batch["cache_hits"],
+            "service_shed_total": batch["shed"],
+            "service_expired_total": batch["expired"],
+            "service_coalesced_total": coalesce["coalesced"],
+            "service_coalesce_primary_total": coalesce["primary"],
+            "service_queue_depth": batch["queue_depth"],
+        }
+        values = metric_values(text)
+        assert {name: values[name] for name in want} == want
+        for name in want:
+            kind = "gauge" if name == "service_queue_depth" else "counter"
+            assert f"# TYPE {name} {kind}" in text
