@@ -51,6 +51,7 @@ in-process evaluation — the service-level determinism contract.
 
 from __future__ import annotations
 
+import http.client
 import json
 import statistics
 import sys
@@ -591,9 +592,38 @@ def multiproc_leg(quick: bool) -> dict:
     return record
 
 
+#: Simulate bodies the protocol rejects (wrong scalar types, bad JSON).
+#: The smoke posts each twice: both answers must be the same 400 bytes,
+#: so a rejected body is never memoized into a success.
+REJECTED_BODIES = (
+    b'{"failure_times": "123"}',
+    b'{"failure_times": {"5": 1}}',
+    b'{"work_mttis": "3"}',
+    b'{"work_mttis": true}',
+    b'{"seed": "5"}',
+    b'{"seed": 5.5}',
+    b'{"seed": true}',
+    b'{"params": {"mtti": true}}',
+    b'{"seed": 1',
+    b"\xff{}",
+)
+
+
+def post_bytes(port: int, path: str, body: bytes) -> tuple[int, bytes]:
+    """POST raw ``body`` bytes; ``(status, response body)``."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request("POST", path, body=body, headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        return resp.status, resp.read()
+    finally:
+        conn.close()
+
+
 def smoke(port: int = 0) -> int:
     """Boot a server, fire a mixed burst, check /metrics counters moved
-    and equal their /stats counts."""
+    and equal their /stats counts, and that each rejected body gets the
+    same 400 twice."""
     corpus = build_corpus(8, 3.0)
     with BackgroundServer(ServiceConfig(port=port, cache=None)) as bg:
         with ServiceClient("127.0.0.1", bg.port) as client:
@@ -605,6 +635,11 @@ def smoke(port: int = 0) -> int:
                 return 1
             client.sweep({"configs": corpus[:2], "seeds": [0, 1]})
             client.optimize({"params": {"mtti": 1800.0}, "compression": "host-gzip1"})
+            for body in REJECTED_BODIES:
+                first, again = (post_bytes(bg.port, "/v1/simulate", body) for _ in range(2))
+                if first[0] != 400 or again != first:
+                    print(f"smoke: {body!r} answered {first} then {again}", file=sys.stderr)
+                    return 1
             text = client.metrics_text()
             stats = client.stats()
     checked = verify_byte_identity(corpus, load.responses)

@@ -224,6 +224,19 @@ class TestHttpEdges:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("path", ["/v1/simulate", "/v1/sweep", "/v1/optimize"])
+    def test_too_deeply_nested_json_body_400(self, server, path):
+        """JSON nested past the decoder's recursion limit is a bad
+        request, answered like any other, on a connection that stays
+        usable."""
+        with ServiceClient("127.0.0.1", server.port) as c:
+            c._conn.request("POST", path, body=b"[" * 100_000)
+            resp = c._conn.getresponse()
+            payload = json.loads(resp.read())
+            assert resp.status == 400
+            assert payload["error"].startswith("invalid JSON body: maximum recursion")
+            assert c.healthz() == {"status": "ok"}
+
 
 class TestSharedCache:
     def test_repeat_requests_hit_the_process_wide_cache(self, tmp_path):
@@ -352,7 +365,8 @@ class TestOnePath:
 
     def test_each_row_is_hashed_once(self, tmp_path, monkeypatch):
         """The server's key serves the probe, the dedup and the
-        write-back: one ``config_key`` call per row, cold or warm."""
+        write-back, and the parse memo keeps it for the body: the cold
+        request hashes once, the warm repeat of its bytes not at all."""
         import repro.service.batcher as batcher_mod
         import repro.service.server as server_mod
         import repro.simulation.pool as pool_mod
@@ -377,7 +391,7 @@ class TestOnePath:
                     assert c.post_raw("/v1/simulate", body) == want  # cold
                     assert hashed == [70]
                     assert c.post_raw("/v1/simulate", body) == want  # warm
-                    assert hashed == [70, 70]
+                    assert hashed == [70]
             assert (cache.hits, cache.misses) == (1, 1)
 
 
