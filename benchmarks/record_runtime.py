@@ -44,6 +44,7 @@ from repro.ckpt.backends import IOStore, LocalStore
 from repro.ckpt.format import make_header
 from repro.ckpt.ndp_daemon import NDPDrainDaemon
 from repro.ckpt.restart import recover
+from repro.obs.metrics import REGISTRY
 from repro.workloads import calibrated_app
 
 GATES = (
@@ -165,6 +166,14 @@ def _drain_once(payloads: dict[int, bytes], root: Path,
     dt = time.perf_counter() - t0
     if daemon.stats.checkpoints_drained != 1:
         raise SystemExit("FATAL: drain did not complete")
+    # /metrics must read the daemon's own count, and an idle queue.
+    drains = REGISTRY.counter("ndp_drains_total").value(app=APP_ID)
+    depth = REGISTRY.gauge("ndp_queue_depth").value(app=APP_ID)
+    if drains != daemon.stats.checkpoints_drained or depth != 0:
+        raise SystemExit(
+            f"FATAL: registry reads ndp_drains_total {drains:g}, "
+            f"ndp_queue_depth {depth:g} after one drain"
+        )
     return dt, daemon, io
 
 

@@ -71,15 +71,6 @@ class StageCounter:
             return math.inf if self.bytes > 0 else 0.0
         return self.bytes / self.seconds
 
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict export consumed by the ``repro.obs`` registry."""
-        return {
-            "bytes": self.bytes,
-            "seconds": self.seconds,
-            "ops": self.ops,
-            "rate": self.rate,
-        }
-
     def summary(self) -> str:
         """One-line human-readable summary."""
         return f"{self.bytes}B in {self.seconds:.3f}s ({self.rate / 1e6:.2f} MB/s, {self.ops} ops)"
@@ -88,6 +79,14 @@ class StageCounter:
 @dataclass
 class RuntimeMetrics:
     """Host-visible cost counters for one checkpointer instance.
+
+    Each checkpoint event is counted here once, by
+    :class:`~repro.ckpt.multilevel.MultilevelCheckpointer`; ``/metrics``
+    reads these fields when scraped
+    (:func:`repro.obs.metrics.register_runtime_metrics`).  The split of
+    restores by serving level is counted by
+    :func:`~repro.ckpt.restart.recover` alone
+    (``restore_recoveries_total{level}``).
 
     Attributes
     ----------
@@ -135,18 +134,6 @@ class RuntimeMetrics:
     def total_blocked(self) -> float:
         """Total host-blocked wall seconds across activities."""
         return sum(self.blocked_seconds.values())
-
-    def as_dict(self) -> dict[str, object]:
-        """Plain-dict export consumed by the ``repro.obs`` registry."""
-        return {
-            "blocked_seconds": dict(self.blocked_seconds),
-            "total_blocked": self.total_blocked,
-            "checkpoints": self.checkpoints,
-            "restores": self.restores,
-            "bytes_local": self.bytes_local,
-            "bytes_partner": self.bytes_partner,
-            "bytes_io_host": self.bytes_io_host,
-        }
 
     def summary(self) -> str:
         """One-line human-readable summary."""

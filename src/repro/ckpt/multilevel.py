@@ -46,17 +46,6 @@ from .stream import DEFAULT_BLOCK_SIZE, rank_frames
 
 __all__ = ["MultilevelCheckpointer"]
 
-# Registry instruments shared by every checkpointer, labelled per call.
-_CHECKPOINTS = obs_metrics.REGISTRY.counter(
-    "cr_checkpoints_total", "coordinated checkpoints committed"
-)
-_RESTORES = obs_metrics.REGISTRY.counter(
-    "cr_restores_total", "recoveries served, by storage level"
-)
-_BYTES = obs_metrics.REGISTRY.counter(
-    "cr_bytes_total", "payload bytes written on the critical path, by level"
-)
-
 
 class MultilevelCheckpointer:
     """Multilevel C/R orchestrator (host or NDP mode).
@@ -230,8 +219,6 @@ class MultilevelCheckpointer:
                         self.daemon.resume()
             self.metrics.checkpoints += 1
             self.metrics.bytes_local += nbytes
-            _CHECKPOINTS.inc(app=self.app_id, mode=self.mode)
-            _BYTES.inc(nbytes, app=self.app_id, level="local")
 
             if (
                 self.partner is not None
@@ -243,13 +230,11 @@ class MultilevelCheckpointer:
                 ):
                     self.partner.write_checkpoint(self.app_id, ckpt_id, files)
                 self.metrics.bytes_partner += nbytes
-                _BYTES.inc(nbytes, app=self.app_id, level="partner")
 
             if self.mode == "host" and ckpt_id % self.io_every == 0:
                 with obs_trace.span("ckpt", "io-push", ckpt=ckpt_id), self.metrics.timed("io"):
                     self._host_push_io(ckpt_id, payloads, position)
                 self.metrics.bytes_io_host += nbytes
-                _BYTES.inc(nbytes, app=self.app_id, level="io_host")
         return ckpt_id
 
     def _host_push_io(
@@ -302,7 +287,6 @@ class MultilevelCheckpointer:
                     result = recover(self.app_id, stores)
                 sp.set(ckpt=result.ckpt_id, level=result.level)
             self.metrics.restores += 1
-            _RESTORES.inc(app=self.app_id, level=result.level)
             return result
         finally:
             if self.daemon is not None:

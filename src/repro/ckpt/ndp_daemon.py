@@ -46,21 +46,6 @@ from .stream import DEFAULT_BLOCK_SIZE, rank_frames
 
 __all__ = ["NDPDrainDaemon", "DrainStats"]
 
-# Registry instruments shared by every daemon instance, labelled by app.
-_DRAINS = obs_metrics.REGISTRY.counter(
-    "ndp_drains_total", "checkpoints drained to the I/O level"
-)
-_STALLS = obs_metrics.REGISTRY.counter(
-    "ndp_backpressure_stalls_total",
-    "frames that blocked because the writer queue was full",
-)
-_STALL_SECONDS = obs_metrics.REGISTRY.counter(
-    "ndp_backpressure_stall_seconds_total",
-    "seconds the compressor spent blocked on writer backpressure",
-)
-_QUEUE_DEPTH = obs_metrics.REGISTRY.gauge(
-    "ndp_queue_depth", "compressed frames currently queued for the writer"
-)
 #: Queued in place of a frame when the compressor fails mid-rank: the
 #: writer raises instead of finalizing the rank file.
 _ABORT = object()
@@ -68,9 +53,13 @@ _ABORT = object()
 
 @dataclass
 class DrainStats:
-    """Counters exposed by the daemon for tests and examples."""
+    """The daemon's counts: each drain event is counted here once.
 
-    checkpoints_drained: int = 0
+    ``/metrics`` reads these fields when scraped
+    (:func:`repro.obs.metrics.register_drain_stats`); nothing else
+    counts the same events.
+    """
+
     checkpoints_skipped: int = 0
     delta_drains: int = 0
     bytes_in: int = 0
@@ -96,27 +85,16 @@ class DrainStats:
     drain: StageCounter = field(default_factory=StageCounter)
 
     @property
+    def checkpoints_drained(self) -> int:
+        """Checkpoints committed to the I/O level."""
+        return len(self.drained_ids)
+
+    @property
     def achieved_factor(self) -> float:
         """Aggregate compression factor over everything drained."""
         if self.bytes_in == 0:
             return 0.0
         return 1.0 - self.bytes_out / self.bytes_in
-
-    def as_dict(self) -> dict[str, object]:
-        """Plain-dict export consumed by the ``repro.obs`` registry."""
-        return {
-            "checkpoints_drained": self.checkpoints_drained,
-            "checkpoints_skipped": self.checkpoints_skipped,
-            "delta_drains": self.delta_drains,
-            "bytes_in": self.bytes_in,
-            "bytes_out": self.bytes_out,
-            "stalls": self.stalls,
-            "stall_seconds": self.stall_seconds,
-            "achieved_factor": self.achieved_factor,
-            "compress": self.compress.as_dict(),
-            "write": self.write.as_dict(),
-            "drain": self.drain.as_dict(),
-        }
 
 
 class NDPDrainDaemon:
@@ -172,7 +150,12 @@ class NDPDrainDaemon:
         self.delta_every = delta_every
         self.queue_depth = queue_depth
         self.stats = DrainStats()
-        obs_metrics.register_drain_stats(self.stats, app=app_id)
+        #: The frame queue of the rank being compressed (``None`` between
+        #: drains), read by ``ndp_queue_depth`` at scrape time.
+        self._fifo: queue.Queue | None = None
+        obs_metrics.register_drain_stats(
+            self.stats, queue_depth=self._queue_depth, app=app_id
+        )
         # Delta state: the most recent *full* drained checkpoint.
         self._base_id: int | None = None
         self._base_payloads: dict[int, bytes] = {}
@@ -301,9 +284,7 @@ class NDPDrainDaemon:
                     self._note_skip(ckpt_id)
                     return
                 self.io.commit_checkpoint(self.app_id, ckpt_id)
-            self.stats.checkpoints_drained += 1
             self.stats.drained_ids.append(ckpt_id)
-            _DRAINS.inc(app=self.app_id)
             self._high_water = max(self._high_water, ckpt_id)
             if use_delta:
                 self.stats.delta_drains += 1
@@ -334,45 +315,54 @@ class NDPDrainDaemon:
         """
         delta_base = self._base_id if use_delta else None
         codec_name = self.codec.name if self.codec is not None else None
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ndp-write") as writer:
-            pending: Future | None = None
-            for rank, (header, payload) in sorted(files.items()):
-                self._running.wait()
-                body = self._rank_body(rank, payload, use_delta)
-                frames = rank_frames(body, self.codec, self.block_size)
-                fifo: queue.Queue = queue.Queue(maxsize=self.queue_depth)
-                fut = writer.submit(
-                    self._write_rank,
-                    ckpt_id,
-                    rank,
-                    fifo,
-                    header.position,
-                    header.uncompressed_size,
-                    codec_name,
-                    delta_base,
-                )
-                out_bytes = 0
-                t0 = time.perf_counter()
-                try:
-                    for frame in frames:
-                        self.stats.compress.add(len(frame), time.perf_counter() - t0)
-                        out_bytes += len(frame)
-                        self._feed(fifo, fut, bytes(frame))
-                        t0 = time.perf_counter()
-                except BaseException:
-                    # The writer blocks on the queue until told the rank
-                    # is over; leaving without the abort mark would hang
-                    # the executor's shutdown (and this drain) forever.
-                    self._abort(fifo, fut)
-                    raise
-                fifo.put(None)
+        try:
+            with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ndp-write") as writer:
+                pending: Future | None = None
+                for rank, (header, payload) in sorted(files.items()):
+                    self._running.wait()
+                    body = self._rank_body(rank, payload, use_delta)
+                    frames = rank_frames(body, self.codec, self.block_size)
+                    fifo: queue.Queue = queue.Queue(maxsize=self.queue_depth)
+                    self._fifo = fifo
+                    fut = writer.submit(
+                        self._write_rank,
+                        ckpt_id,
+                        rank,
+                        fifo,
+                        header.position,
+                        header.uncompressed_size,
+                        codec_name,
+                        delta_base,
+                    )
+                    out_bytes = 0
+                    t0 = time.perf_counter()
+                    try:
+                        for frame in frames:
+                            self.stats.compress.add(len(frame), time.perf_counter() - t0)
+                            out_bytes += len(frame)
+                            self._feed(fifo, fut, bytes(frame))
+                            t0 = time.perf_counter()
+                    except BaseException:
+                        # The writer blocks on the queue until told the rank
+                        # is over; leaving without the abort mark would hang
+                        # the executor's shutdown (and this drain) forever.
+                        self._abort(fifo, fut)
+                        raise
+                    fifo.put(None)
+                    if pending is not None:
+                        pending.result()
+                    pending = fut
+                    self.stats.bytes_in += len(payload)
+                    self.stats.bytes_out += out_bytes
                 if pending is not None:
                     pending.result()
-                pending = fut
-                self.stats.bytes_in += len(payload)
-                self.stats.bytes_out += out_bytes
-            if pending is not None:
-                pending.result()
+        finally:
+            self._fifo = None
+
+    def _queue_depth(self) -> int:
+        """Frames queued for the writer now; 0 when no drain is running."""
+        fifo = self._fifo
+        return fifo.qsize() if fifo is not None else 0
 
     def _feed(self, fifo: queue.Queue, fut: Future, frame: bytes) -> None:
         """Put a frame with backpressure, bailing out if the writer died.
@@ -392,15 +382,11 @@ class NDPDrainDaemon:
                 if not stalled:
                     stalled = True
                     self.stats.stalls += 1
-                    _STALLS.inc(app=self.app_id)
                 if fut.done():
                     fut.result()  # surfaces the writer's exception
                     raise RuntimeError("writer finished while frames remained")
         if stalled:
-            dt = time.perf_counter() - t0
-            self.stats.stall_seconds += dt
-            _STALL_SECONDS.inc(dt, app=self.app_id)
-        _QUEUE_DEPTH.set(fifo.qsize(), app=self.app_id)
+            self.stats.stall_seconds += time.perf_counter() - t0
 
     def _abort(self, fifo: queue.Queue, fut: Future) -> None:
         """Queue the abort mark for a rank's writer, unless it already died."""

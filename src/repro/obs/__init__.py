@@ -7,8 +7,9 @@ Three pillars, documented in ``docs/OBSERVABILITY.md``:
   :func:`configure`); near-zero overhead when disabled.
 * :mod:`repro.obs.metrics` — the labelled counter/gauge/histogram
   registry with JSON-snapshot and Prometheus-text exporters, plus
-  adapters wrapping the runtime's pre-existing ``StageCounter`` /
-  ``RuntimeMetrics`` / ``DrainStats`` objects.
+  adapters binding series to the C/R runtime's own counts
+  (``StageCounter`` / ``RuntimeMetrics`` / ``DrainStats``), read at
+  scrape time.
 * :mod:`repro.obs.drift` — measured-vs-model drift reports comparing
   live telemetry against ``repro.core.model`` predictions.
 

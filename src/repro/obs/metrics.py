@@ -1,7 +1,7 @@
 """Metrics registry: named counters/gauges/histograms with labels.
 
-The registry is the runtime's one place where quantitative telemetry
-accumulates: the checkpointer, the NDP drain daemon, the stream codecs
+The registry is the runtime's one export point for quantitative
+telemetry: the checkpointer, the NDP drain daemon, the stream codecs
 and the simulation pool all register instruments here, and exporters
 (:meth:`MetricsRegistry.snapshot` for JSON, :meth:`render_prometheus`
 for Prometheus text format) read them out without knowing who owns what.
@@ -15,12 +15,12 @@ Three instrument types, all label-aware:
 
 A counter or gauge cell is either updated in place (``inc``/``set``) or
 bound to a callback evaluated at read time (``set_function``).  Binding
-is the adapter mechanism: the pre-existing
+is the adapter mechanism: the C/R runtime's
 :class:`~repro.ckpt.metrics.StageCounter` /
 :class:`~repro.ckpt.metrics.RuntimeMetrics` / ``DrainStats`` objects
-and the service batcher's ``BatchStats`` keep the one count, and the
-registry reads it at snapshot time.  A bound counter still exports as
-``counter``.
+and the service batcher's ``BatchStats`` keep the one count of each
+event, and the registry reads it at snapshot time, so no event is
+counted twice.  A bound counter still exports as ``counter``.
 
 Everything is guarded by one registry lock; updates are a dict get +
 float add, cheap enough for per-block (1 MiB) granularity but not meant
@@ -406,11 +406,12 @@ def get_registry() -> MetricsRegistry:
     return REGISTRY
 
 
-# -- adapters over the pre-existing telemetry objects --------------------------
+# -- adapters over the runtime's own counts ------------------------------------
 #
-# The runtime's older counters (StageCounter, RuntimeMetrics, DrainStats)
-# keep their APIs and callers; these functions mirror them into a registry
-# as callback gauges, so one snapshot covers old and new instrumentation.
+# StageCounter, RuntimeMetrics and DrainStats hold the one count of each
+# C/R event; these functions bind registry cells to their fields, read at
+# snapshot time.  The registry is process-wide, so a cell follows the
+# object registered last under its labels.
 
 
 def register_stage_counter(
@@ -437,55 +438,74 @@ def register_stage_counter(
 
 
 def register_runtime_metrics(
-    metrics, registry: MetricsRegistry | None = None, prefix: str = "cr", **labels: Any
+    metrics, registry: MetricsRegistry | None = None, **labels: Any
 ) -> None:
-    """Expose a :class:`~repro.ckpt.metrics.RuntimeMetrics` as gauges."""
+    """Bind a :class:`~repro.ckpt.metrics.RuntimeMetrics` into the registry.
+
+    ``cr_checkpoints_total``, ``cr_restores_total`` and
+    ``cr_bytes_total{level}`` are counters over its fields;
+    ``cr_blocked_seconds{activity}`` is a gauge.
+    """
     reg = registry or REGISTRY
     blocked = reg.gauge(
-        f"{prefix}_blocked_seconds", "host wall seconds blocked in C/R, by activity"
+        "cr_blocked_seconds", "host wall seconds blocked in C/R, by activity"
     )
     for activity in metrics.blocked_seconds:
         blocked.set_function(
             lambda a=activity: metrics.blocked_seconds[a], activity=activity, **labels
         )
-    for field, help in (
-        ("checkpoints", "checkpoints committed"),
-        ("restores", "recoveries served"),
-        ("bytes_local", "payload bytes written to the local level"),
-        ("bytes_partner", "payload bytes mirrored to the partner level"),
-        ("bytes_io_host", "payload bytes pushed to I/O synchronously"),
-    ):
-        reg.gauge(f"{prefix}_{field}", help).set_function(
-            lambda f=field: getattr(metrics, f), **labels
+    reg.counter("cr_checkpoints_total", "coordinated checkpoints committed").set_function(
+        lambda: metrics.checkpoints, **labels
+    )
+    reg.counter(
+        "cr_restores_total", "restarts served (split by level: restore_recoveries_total)"
+    ).set_function(lambda: metrics.restores, **labels)
+    written = reg.counter(
+        "cr_bytes_total", "payload bytes written on the critical path, by level"
+    )
+    for level in ("local", "partner", "io_host"):
+        written.set_function(
+            lambda f=f"bytes_{level}": getattr(metrics, f), level=level, **labels
         )
 
 
 def register_drain_stats(
-    stats, registry: MetricsRegistry | None = None, prefix: str = "ndp", **labels: Any
+    stats,
+    registry: MetricsRegistry | None = None,
+    queue_depth: Callable[[], float] | None = None,
+    **labels: Any,
 ) -> None:
-    """Expose a :class:`~repro.ckpt.ndp_daemon.DrainStats` as gauges.
+    """Bind a :class:`~repro.ckpt.ndp_daemon.DrainStats` into the registry.
 
-    Covers the scalar counters, the backpressure stall accounting, the
-    achieved compression factor, and the compress/write/drain
-    :class:`StageCounter` stages.
+    Drains and backpressure stalls are counters; the skip/delta/byte
+    totals, the achieved compression factor and the compress/write/drain
+    :class:`StageCounter` stages are gauges.  ``queue_depth``, when
+    given, is bound as the ``ndp_queue_depth`` gauge.
     """
     reg = registry or REGISTRY
+    for name, help, field in (
+        ("ndp_drains_total", "checkpoints drained to the I/O level", "checkpoints_drained"),
+        ("ndp_backpressure_stalls_total",
+         "frames that blocked because the writer queue was full", "stalls"),
+        ("ndp_backpressure_stall_seconds_total",
+         "seconds the compressor spent blocked on writer backpressure", "stall_seconds"),
+    ):
+        reg.counter(name, help).set_function(lambda f=field: getattr(stats, f), **labels)
     for field, help in (
-        ("checkpoints_drained", "checkpoints drained to the I/O level"),
         ("checkpoints_skipped", "checkpoints skipped (evicted/corrupt/stale)"),
         ("delta_drains", "drains stored as XOR deltas"),
         ("bytes_in", "uncompressed bytes entering the drain"),
         ("bytes_out", "bytes actually written to the I/O level"),
-        ("stalls", "backpressure stalls (writer queue full)"),
-        ("stall_seconds", "seconds the compressor blocked on backpressure"),
+        ("achieved_factor", "aggregate compression factor"),
     ):
-        reg.gauge(f"{prefix}_{field}", help).set_function(
+        reg.gauge(f"ndp_{field}", help).set_function(
             lambda f=field: getattr(stats, f), **labels
         )
-    reg.gauge(f"{prefix}_achieved_factor", "aggregate compression factor").set_function(
-        lambda: stats.achieved_factor, **labels
-    )
+    if queue_depth is not None:
+        reg.gauge(
+            "ndp_queue_depth", "compressed frames currently queued for the writer"
+        ).set_function(queue_depth, **labels)
     for stage_name in ("compress", "write", "drain"):
         register_stage_counter(
-            getattr(stats, stage_name), f"{prefix}_{stage_name}", reg, **labels
+            getattr(stats, stage_name), f"ndp_{stage_name}", reg, **labels
         )

@@ -283,6 +283,10 @@ def config_from_json(body: Any) -> SimConfig:
         raise ProtocolError(f"invalid request: {exc}") from exc
 
 
+#: The sweep body's flags, read by the server (``detail``, ``stream``).
+_SWEEP_FLAGS = {"detail": (bool, False), "stream": (bool, False)}
+
+
 def sweep_rows_from_json(body: Any) -> tuple[list[SimConfig], int, int]:
     """A sweep-request body -> flat per-(cell, seed) config rows.
 
@@ -296,17 +300,16 @@ def sweep_rows_from_json(body: Any) -> tuple[list[SimConfig], int, int]:
     ``(rows, n_cells, n_seeds)`` with rows in cell-major order.
     """
     body = _require_mapping(body, "sweep request")
-    _reject_unknown(body, {"configs", "seeds", "detail", "stream"}, "sweep")
+    _reject_unknown(body, {"configs", "seeds", *_SWEEP_FLAGS}, "sweep")
+    _check_scalars(body, _SWEEP_FLAGS, "")
     cells_raw = body.get("configs")
     if not isinstance(cells_raw, (list, tuple)) or not cells_raw:
         raise ProtocolError("sweep needs a non-empty 'configs' list")
-    seeds_raw = body.get("seeds", [0])
-    if not isinstance(seeds_raw, (list, tuple)) or not seeds_raw:
+    seeds = body.get("seeds", [0])
+    if not isinstance(seeds, (list, tuple)) or not seeds:
         raise ProtocolError("sweep 'seeds' must be a non-empty list")
-    try:
-        seeds = [int(s) for s in seeds_raw]
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"invalid seeds: {exc}") from exc
+    if not all(_is_a(s, int) for s in seeds):
+        raise ProtocolError(f"seeds must be a list of integers, got {seeds!r:.60}")
     cells = [config_from_json(c) for c in cells_raw]
     rows = [dataclasses.replace(cfg, seed=s) for cfg in cells for s in seeds]
     return rows, len(cells), len(seeds)

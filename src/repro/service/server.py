@@ -309,8 +309,8 @@ class ServiceServer:
     async def _handle_sweep(self, body: Any) -> "dict | StreamBody":
         qos, body = qos_from_json(body)
         rows, n_cells, n_seeds = sweep_rows_from_json(body)
-        detail = bool(body.get("detail", False))
-        if bool(body.get("stream", False)):
+        detail = body.get("detail", False)
+        if body.get("stream", False):
             return StreamBody(
                 self._sweep_stream(rows, n_cells, n_seeds, detail, qos)
             )

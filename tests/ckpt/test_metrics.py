@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from repro.ckpt.backends import IOStore, LocalStore
+from repro.ckpt.backends import IOStore, LocalStore, PartnerStore
 from repro.ckpt.metrics import RuntimeMetrics, StageCounter
 from repro.ckpt.multilevel import MultilevelCheckpointer
+from repro.obs.metrics import REGISTRY
 
 
 class TestStageCounter:
@@ -23,13 +24,6 @@ class TestStageCounter:
         s = StageCounter()
         s.add(1000, 0.0)
         assert s.rate == math.inf  # not a silent 0.0
-
-    def test_as_dict(self):
-        s = StageCounter()
-        s.add(100, 0.1)
-        d = s.as_dict()
-        assert d == {"bytes": 100, "seconds": pytest.approx(0.1), "ops": 1,
-                     "rate": pytest.approx(1000.0)}
 
     def test_timed_charges_on_exception(self):
         s = StageCounter()
@@ -69,15 +63,6 @@ class TestRuntimeMetrics:
                 raise RuntimeError("x")
         assert m.blocked_seconds["io"] > 0.0
 
-    def test_as_dict(self):
-        m = RuntimeMetrics()
-        m.checkpoints = 2
-        m.blocked_seconds["local"] = 0.5
-        d = m.as_dict()
-        assert d["checkpoints"] == 2
-        assert d["blocked_seconds"]["local"] == 0.5
-        assert d["total_blocked"] == pytest.approx(0.5)
-
 
 class TestCheckpointerIntegration:
     def test_counters_track_operations(self, tmp_path, small_blob):
@@ -108,3 +93,56 @@ class TestCheckpointerIntegration:
             cr.checkpoint({0: small_blob})
             cr.flush_to_io(30)
             assert cr.metrics.bytes_io_host == 0  # drains are background
+
+
+class TestOneCountPerEvent:
+    """Each C/R quantity is one registry series, bound to the one field
+    that counts it; a second checkpointer for the same app replaces the
+    first one's bindings instead of adding to them."""
+
+    def test_series_read_the_last_instances_fields(self, tmp_path, small_blob):
+        def run(root, partner, n):
+            cr = MultilevelCheckpointer(
+                "app", LocalStore(root / "nvm", capacity=4), IOStore(root / "pfs"),
+                partner=partner, mode="ndp",
+            ).start()
+            for step in range(n):
+                cr.checkpoint({0: small_blob, 1: small_blob[::-1]}, position=step)
+            assert cr.flush_to_io(30)
+            cr.restart()
+            return cr
+
+        first = run(tmp_path / "a", None, 3)
+        first.close()
+        cr = run(tmp_path / "b", PartnerStore(tmp_path / "b" / "partner"), 2)
+        try:
+            assert cr.daemon.wait_idle(30)
+            m, stats = cr.metrics, cr.daemon.stats
+            cr_cell, ndp_cell = {"app": "app", "mode": "ndp"}, {"app": "app"}
+            expected = [
+                ("cr_checkpoints_total", cr_cell, m.checkpoints),
+                ("cr_restores_total", cr_cell, m.restores),
+                ("cr_bytes_total", dict(cr_cell, level="local"), m.bytes_local),
+                ("cr_bytes_total", dict(cr_cell, level="partner"), m.bytes_partner),
+                ("cr_bytes_total", dict(cr_cell, level="io_host"), m.bytes_io_host),
+                ("ndp_drains_total", ndp_cell, stats.checkpoints_drained),
+                ("ndp_backpressure_stalls_total", ndp_cell, stats.stalls),
+                ("ndp_backpressure_stall_seconds_total", ndp_cell, stats.stall_seconds),
+            ]
+            assert (m.checkpoints, m.restores) == (2, 1)
+            assert m.bytes_partner == m.bytes_local > 0
+            assert stats.checkpoints_drained >= 1
+            text = REGISTRY.render_prometheus()
+            for name, cell, want in expected:
+                assert REGISTRY.counter(name).value(**cell) == want, name
+                assert f"# TYPE {name} counter" in text
+            assert REGISTRY.gauge("ndp_queue_depth").value(app="app") == 0
+            snapshot = REGISTRY.snapshot()
+            for gone in (
+                "cr_checkpoints", "cr_restores", "cr_bytes_local",
+                "cr_bytes_partner", "cr_bytes_io_host",
+                "ndp_checkpoints_drained", "ndp_stalls", "ndp_stall_seconds",
+            ):
+                assert gone not in snapshot
+        finally:
+            cr.close()

@@ -180,7 +180,7 @@ class TestAdapters:
         register_runtime_metrics(m, reg, app="x")
         m.checkpoints = 4
         m.blocked_seconds["local"] = 1.25
-        assert reg.gauge("cr_checkpoints").value(app="x") == 4
+        assert reg.counter("cr_checkpoints_total").value(app="x") == 4
         assert reg.gauge("cr_blocked_seconds").value(activity="local", app="x") == 1.25
         assert reg.gauge("cr_blocked_seconds").value(activity="io", app="x") == 0.0
 
@@ -194,7 +194,7 @@ class TestAdapters:
         stats.stalls = 2
         stats.compress.add(100, 0.1)
         assert reg.gauge("ndp_bytes_in").value(app="d") == 100
-        assert reg.gauge("ndp_stalls").value(app="d") == 2
+        assert reg.counter("ndp_backpressure_stalls_total").value(app="d") == 2
         assert reg.gauge("ndp_achieved_factor").value(app="d") == pytest.approx(0.6)
         assert reg.gauge("ndp_compress_bytes_total").value(app="d") == 100
 

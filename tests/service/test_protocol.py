@@ -110,11 +110,20 @@ class TestConfig:
                               "decompress_rate": 2e9, "name": 7}},
              "compression.name"),
             ({"strategy": 5}, "strategy"),
+            # Sweep bodies: the seed axis and the server's flags.
+            ({"configs": [{}], "seeds": [5.9]}, "seeds"),
+            ({"configs": [{}], "seeds": [True]}, "seeds"),
+            ({"configs": [{}], "seeds": [0, "7"]}, "seeds"),
+            ({"configs": [{}], "detail": "true"}, "detail"),
+            ({"configs": [{}], "detail": 1}, "detail"),
+            ({"configs": [{}], "stream": "false"}, "stream"),
+            ({"configs": [{}], "stream": None}, "stream"),
         ],
     )
     def test_scalar_types_are_strict(self, body, field):
+        parse = sweep_rows_from_json if "configs" in body else config_from_json
         with pytest.raises(ProtocolError, match=rf"^{re.escape(field)} must be"):
-            config_from_json(body)
+            parse(body)
 
     def test_explicit_compression_keeps_its_name(self):
         cfg = config_from_json(
