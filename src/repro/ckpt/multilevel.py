@@ -7,11 +7,11 @@ path over real files:
   store (pausing the NDP drain for the duration — the host gets all NVM
   bandwidth), optionally mirroring every ``partner_every``-th checkpoint
   to a partner store;
-* in **ndp** mode the background :class:`~repro.ckpt.ndp_daemon.NDPDrainDaemon`
-  compresses and pushes checkpoints to the I/O store off the critical
-  path; in **host** mode every ``io_every``-th checkpoint is written to
-  I/O synchronously, reproducing the conventional configuration the
-  paper compares against.  Both modes write each rank as the same
+* the I/O level is written as ``mode``'s entry in
+  :data:`~repro.core.strategy.TABLE` says: drained off the critical path
+  by the background :class:`~repro.ckpt.ndp_daemon.NDPDrainDaemon`, or
+  pushed synchronously every ``io_every``-th checkpoint.  Both write
+  each rank as the same
   :func:`~repro.ckpt.stream.rank_frames` streamed into
   :meth:`~repro.ckpt.backends.DirectoryStore.stage_rank_frames`, so the
   I/O level holds one format whichever mode wrote it;
@@ -34,6 +34,7 @@ from __future__ import annotations
 import threading
 
 from ..compression.codecs import Codec
+from ..core.strategy import TABLE
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .async_local import AsyncLocalWriter
@@ -48,7 +49,7 @@ __all__ = ["MultilevelCheckpointer"]
 
 
 class MultilevelCheckpointer:
-    """Multilevel C/R orchestrator (host or NDP mode).
+    """Multilevel C/R orchestrator (a strategy with both levels).
 
     Parameters
     ----------
@@ -59,14 +60,13 @@ class MultilevelCheckpointer:
     partner:
         Optional partner-node store.
     mode:
-        ``"ndp"`` (background drain, the paper's proposal) or ``"host"``
-        (synchronous I/O pushes, the conventional baseline).
+        The name of a two-level entry of :data:`~repro.core.strategy.TABLE`.
     codec:
-        Compression for the I/O level (both modes); local/partner copies
+        Compression for the I/O level (every mode); local/partner copies
         are never compressed (Section 3.5: local bandwidth outruns any
         achievable compression rate).
     io_every:
-        Host mode: push every ``io_every``-th checkpoint to I/O
+        Under ``host_push``: push every ``io_every``-th checkpoint to I/O
         (the locally-saved : I/O-saved ratio).
     partner_every:
         Mirror every ``partner_every``-th checkpoint to the partner store
@@ -74,7 +74,7 @@ class MultilevelCheckpointer:
     block_size:
         Compression block size for the streamed format.
     delta_every:
-        NDP mode only: store ``delta_every - 1`` of every ``delta_every``
+        Modes that drain only: store ``delta_every - 1`` of every ``delta_every``
         drains as XOR-deltas against the last full drain (0 disables; see
         :class:`~repro.ckpt.ndp_daemon.NDPDrainDaemon`).
     local_async:
@@ -83,7 +83,7 @@ class MultilevelCheckpointer:
         soon as the payloads are staged, hiding ``delta_L`` too.  A crash
         before the background commit lands falls back to the previous
         checkpoint — the same guarantee a crash mid-blocking-write gives.
-        Requires ndp mode.
+        Requires a mode that drains.
     """
 
     def __init__(
@@ -100,21 +100,25 @@ class MultilevelCheckpointer:
         delta_every: int = 0,
         local_async: bool = False,
     ):
-        if mode not in ("ndp", "host"):
-            raise ValueError(f"mode must be 'ndp' or 'host': {mode!r}")
+        spec = TABLE.get(mode)
+        if spec is None or not (spec.local and spec.has_io):
+            modes = [n for n, s in TABLE.items() if s.local and s.has_io]
+            raise ValueError(f"mode must be one of {modes}: {mode!r}")
         if io_every < 1:
             raise ValueError("io_every must be >= 1")
         if partner_every < 0:
             raise ValueError("partner_every must be >= 0")
-        if delta_every and mode != "ndp":
-            raise ValueError("delta_every requires ndp mode (the drain daemon)")
-        if local_async and mode != "ndp":
-            raise ValueError("local_async requires ndp mode")
+        if (delta_every or local_async) and not spec.drains:
+            drainers = [n for n, s in TABLE.items() if s.drains]
+            raise ValueError(
+                f"delta_every and local_async need a mode that drains {drainers}: {mode!r}"
+            )
         self.app_id = app_id
         self.local = local
         self.io = io
         self.partner = partner
         self.mode = mode
+        self.spec = spec
         self.codec = codec
         self.io_every = io_every
         self.partner_every = partner_every
@@ -125,7 +129,7 @@ class MultilevelCheckpointer:
         self._next_id = self._initial_id()
         self.daemon: NDPDrainDaemon | None = None
         self._async_writer: AsyncLocalWriter | None = None
-        if mode == "ndp":
+        if spec.drains:
             self.daemon = NDPDrainDaemon(
                 app_id,
                 local,
@@ -153,7 +157,7 @@ class MultilevelCheckpointer:
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> "MultilevelCheckpointer":
-        """Start the NDP drain daemon (no-op in host mode)."""
+        """Start the NDP drain daemon (no-op unless the mode drains)."""
         if self.daemon is not None:
             self.daemon.start()
         return self
@@ -179,9 +183,8 @@ class MultilevelCheckpointer:
         """Commit one coordinated checkpoint; returns its id.
 
         ``payloads`` maps rank -> serialized state.  The call blocks for
-        exactly what the host pays in each mode: the local (and partner)
-        writes always; the compressed I/O push only in host mode on
-        ``io_every`` boundaries.
+        exactly what the host pays: the local (and partner) writes always;
+        the compressed I/O push under ``host_push`` on ``io_every`` boundaries.
         """
         if not payloads:
             raise ValueError("need at least one rank payload")
@@ -231,7 +234,7 @@ class MultilevelCheckpointer:
                     self.partner.write_checkpoint(self.app_id, ckpt_id, files)
                 self.metrics.bytes_partner += nbytes
 
-            if self.mode == "host" and ckpt_id % self.io_every == 0:
+            if self.spec.host_push and ckpt_id % self.io_every == 0:
                 with obs_trace.span("ckpt", "io-push", ckpt=ckpt_id), self.metrics.timed("io"):
                     self._host_push_io(ckpt_id, payloads, position)
                 self.metrics.bytes_io_host += nbytes

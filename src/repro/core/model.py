@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 from .breakdown import OverheadBreakdown
 from .configs import NO_COMPRESSION, CompressionSpec, CRParameters
+from .strategy import resolve
 
 __all__ = [
     "ModelResult",
@@ -57,6 +58,7 @@ __all__ = [
     "multilevel_host",
     "multilevel_ndp",
     "ndp_io_interval",
+    "predict",
     "RERUN_ACCOUNTINGS",
 ]
 
@@ -364,10 +366,7 @@ def ndp_io_interval(
     """
     tau = params.tau
     cycle = params.cycle_time
-    t_raw = max(
-        compression.compressed_size(params.checkpoint_size) / params.io_bandwidth,
-        params.checkpoint_size / compression.compress_rate,
-    )
+    t_raw = params.io_commit_time(compression)
     t_drain = t_raw * (cycle / tau) if pause_during_local else t_raw
     n = max(1, math.ceil(t_drain / cycle - 1e-12))
     return n, n * cycle, t_raw
@@ -418,6 +417,26 @@ def multilevel_ndp(
         rerun_local=p * rerun_local,
         rerun_io=(1.0 - p) * rerun_io,
     )
+
+
+def predict(
+    strategy: str,
+    params: CRParameters,
+    compression: CompressionSpec = NO_COMPRESSION,
+    *,
+    ratio: int = 1,
+    rerun_accounting: str = "paper",
+) -> ModelResult:
+    """The model of the :data:`~repro.core.strategy.TABLE` entry named
+    ``strategy``.  ``ratio`` applies under ``host_push``; neither it nor
+    ``rerun_accounting`` applies to a single level (Daly's model)."""
+    spec = resolve(strategy)
+    _check_accounting(rerun_accounting)
+    if spec.drains:
+        return multilevel_ndp(params, compression, rerun_accounting)
+    if spec.host_push:
+        return multilevel_host(params, ratio, compression, rerun_accounting)
+    return single_level(params, compression, level="local" if spec.local else "io")
 
 
 def _check_accounting(rerun_accounting: str) -> None:

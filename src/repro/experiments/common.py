@@ -20,6 +20,7 @@ from ..core.configs import (
 )
 from ..core.model import ModelResult, multilevel_ndp
 from ..core.optimizer import optimal_host
+from ..core.strategy import resolve
 from ..simulation import SimConfig
 
 __all__ = [
@@ -119,7 +120,7 @@ def sensitivity_result(
     """
     bw, mode, compression = SENSITIVITY_CONFIGS[label]
     p = params.with_(local_bandwidth=bw, local_interval=None)
-    if mode == "host":
+    if resolve(mode).host_push:
         return optimal_host(p, compression, rerun_accounting)
     return multilevel_ndp(p, compression, rerun_accounting)
 
@@ -135,12 +136,8 @@ def sensitivity_sim_config(
     """
     bw, mode, compression = SENSITIVITY_CONFIGS[label]
     p = params.with_(local_bandwidth=bw, local_interval=None)
-    if mode == "host":
-        ratio = optimal_host(p, compression).ratio
-        return SimConfig(
-            params=p, strategy="host", ratio=ratio, compression=compression, work=work
-        )
-    return SimConfig(params=p, strategy="ndp", compression=compression, work=work)
+    ratio = optimal_host(p, compression).ratio if resolve(mode).host_push else 1
+    return SimConfig(params=p, strategy=mode, ratio=ratio, compression=compression, work=work)
 
 
 #: The three mini-apps Figure 6 shows individually (plus the average).
@@ -150,10 +147,11 @@ FIG6_APPS = ("CoMD", "miniFE", "miniSMAC2D")
 def fig6_compression(factor: float, engine: str) -> CompressionSpec:
     """A compression spec with a mini-app-specific factor.
 
-    ``engine`` selects the rate profile: ``"host"`` (64 cores x 10 MB/s)
-    or ``"ndp"`` (4 gzip(1) cores).
+    ``engine`` is the strategy whose I/O writer compresses: one that
+    drains gets the NDP's 4 gzip(1) cores, else the host's 64 cores x
+    10 MB/s.
     """
-    base = HOST_GZIP1 if engine == "host" else NDP_GZIP1
+    base = NDP_GZIP1 if resolve(engine).drains else HOST_GZIP1
     return base.with_factor(factor)
 
 

@@ -72,34 +72,24 @@ def run(
             local_interval=None,
         )
         cells = []
-        for strategy in ("ndp", "host"):
+        for strategy, compression, plane_ratios in (
+            ("ndp", NDP_GZIP1, np.ones_like(ratios)),
+            ("host", HOST_GZIP1, ratios),
+        ):
             plane = []
             for i in range(resolution):
                 row_cfgs = []
                 for j in range(resolution):
-                    p = base.with_(
-                        mtti=float(mttis[i]), checkpoint_size=float(sizes[j])
+                    p = base.with_(mtti=float(mttis[i]), checkpoint_size=float(sizes[j]))
+                    row_cfgs.append(
+                        SimConfig(
+                            params=p,
+                            strategy=strategy,
+                            ratio=int(plane_ratios[i, j]),
+                            compression=compression,
+                            work=default_work(p, simulate_mttis),
+                        )
                     )
-                    work = default_work(p, simulate_mttis)
-                    if strategy == "ndp":
-                        row_cfgs.append(
-                            SimConfig(
-                                params=p,
-                                strategy="ndp",
-                                compression=NDP_GZIP1,
-                                work=work,
-                            )
-                        )
-                    else:
-                        row_cfgs.append(
-                            SimConfig(
-                                params=p,
-                                strategy="host",
-                                ratio=int(ratios[i, j]),
-                                compression=HOST_GZIP1,
-                                work=work,
-                            )
-                        )
                 plane.append(row_cfgs)
             cells.append(plane)
         sim = simulate_grid(

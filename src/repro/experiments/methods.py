@@ -18,7 +18,8 @@ figure.
 from __future__ import annotations
 
 from ..core.configs import NDP_GZIP1, NO_COMPRESSION, CompressionSpec, paper_parameters
-from ..core.model import multilevel_host, multilevel_ndp
+from ..core.model import predict
+from ..core.strategy import resolve
 from ..core.renewal import renewal_multilevel_host, renewal_multilevel_ndp
 from ..simulation import SimConfig, default_work, simulate
 from .common import ExperimentResult, TextTable
@@ -42,11 +43,10 @@ def run(mttis: float = 150.0, seed: int = 23) -> ExperimentResult:
     rows = []
     for label, strategy, ratio, comp, p_local in _CASES:
         p = base.with_(p_local_recovery=p_local)
-        if strategy == "ndp":
-            ev = multilevel_ndp(p, comp, rerun_accounting="staleness").efficiency
+        ev = predict(strategy, p, comp, ratio=ratio, rerun_accounting="staleness").efficiency
+        if resolve(strategy).drains:
             rc = renewal_multilevel_ndp(p, comp).efficiency
         else:
-            ev = multilevel_host(p, ratio, comp, rerun_accounting="staleness").efficiency
             rc = renewal_multilevel_host(p, ratio, comp).efficiency
         sim = simulate(
             SimConfig(

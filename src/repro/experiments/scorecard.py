@@ -22,6 +22,7 @@ from ..core.model import io_only, multilevel_ndp, ndp_io_interval, single_level
 from ..core.ndp_sizing import sizing_table
 from ..core.optimizer import optimal_host
 from ..core.projection import EXASCALE, checkpoint_requirements
+from ..core.strategy import resolve
 from ..compression.study import PAPER_UTILITY_AVERAGES
 from ..simulation.pool import parallel_map
 from .common import ExperimentResult, TextTable
@@ -52,7 +53,7 @@ def _claims() -> list[Claim]:
         total = 0.0
         for pl in (0.2, 0.4, 0.6, 0.8):
             pp = p.with_(p_local_recovery=pl)
-            if engine == "host":
+            if resolve(engine).host_push:
                 total += optimal_host(pp, HOST_GZIP1).efficiency
             else:
                 total += multilevel_ndp(pp, NDP_GZIP1).efficiency

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.configs import NDP_GZIP1, NO_COMPRESSION, CompressionSpec, CRParameters, paper_parameters
-from ..core.model import ModelResult, multilevel_host, multilevel_ndp
+from ..core.model import predict
 from ..simulation import SimConfig, default_work, run_simulations
 from ..simulation.pool import ResultCache
 from .common import ExperimentResult, TextTable
@@ -68,10 +68,8 @@ def run(
     on-disk result cache — neither changes any reported number.
 
     ``engine`` selects the simulation engine: the vectorized
-    :mod:`~repro.simulation.fastpath` batch engine by default (it draws
-    from the same named RNG streams as the DES, so host/io-only/local-only
-    numbers are bit-identical and ndp agrees to Monte-Carlo noise), or
-    ``"des"`` to fall back to the event-level oracle.
+    :mod:`~repro.simulation.fastpath` batch engine by default, or
+    ``"des"`` for the event-level oracle.
     """
     base = paper_parameters() if params is None else params
     table = TextTable(["case", "regime", "model eff", "sim eff", "abs diff", "failures"])
@@ -95,13 +93,9 @@ def run(
         cache=cache,
     )
     for case, p, sim in zip(cases, case_params, sims):
-        model: ModelResult
-        if case.strategy == "ndp":
-            model = multilevel_ndp(p, case.compression, rerun_accounting="staleness")
-        else:
-            model = multilevel_host(
-                p, case.ratio, case.compression, rerun_accounting="staleness"
-            )
+        model = predict(
+            case.strategy, p, case.compression, ratio=case.ratio, rerun_accounting="staleness"
+        )
         diff = abs(model.efficiency - sim.efficiency)
         if case.regime == "paper":
             worst = max(worst, diff)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 from ..core.breakdown import OverheadBreakdown
 from ..core.configs import NO_COMPRESSION, CompressionSpec, CRParameters
+from ..core.strategy import resolve
 
 __all__ = [
     "DriftRow",
@@ -202,10 +203,10 @@ def blocked_drift(
     """Compare per-level host-blocked seconds against the model.
 
     ``metrics`` duck-types :class:`~repro.ckpt.metrics.RuntimeMetrics`.
-    Predictions: local commits block ``delta_L`` each; host-mode I/O
-    pushes block ``delta_IO`` each (one every ``io_every`` checkpoints);
-    NDP-mode I/O blocking is *zero by construction* — any measured value
-    is pure drift.
+    Predictions: local commits block ``delta_L`` each; where ``mode``'s
+    strategy has ``host_push``, I/O pushes block ``delta_IO`` each (one
+    every ``io_every`` checkpoints); otherwise I/O blocking is *zero by
+    construction* — any measured value is pure drift.
     """
     report = DriftReport(title or f"host-blocked time ({mode} mode): measured vs model")
     n = max(metrics.checkpoints, 1)
@@ -215,7 +216,7 @@ def blocked_drift(
         params.local_commit_time,
         "s",
     )
-    if mode == "host":
+    if resolve(mode).host_push:
         pushes = max(metrics.checkpoints // max(io_every, 1), 1)
         report.add(
             "blocked I/O s/push",

@@ -417,19 +417,19 @@ def get_registry() -> MetricsRegistry:
 def register_stage_counter(
     stage, name: str, registry: MetricsRegistry | None = None, **labels: Any
 ) -> None:
-    """Expose a :class:`~repro.ckpt.metrics.StageCounter` as gauges.
+    """Expose a :class:`~repro.ckpt.metrics.StageCounter` under ``labels``.
 
-    Publishes ``{name}_bytes_total``, ``{name}_seconds_total``,
-    ``{name}_ops_total`` and ``{name}_bytes_per_second`` under ``labels``.
+    ``{name}_bytes_total``, ``{name}_seconds_total`` and ``{name}_ops_total``
+    are counters; ``{name}_bytes_per_second`` is a gauge.
     """
     reg = registry or REGISTRY
-    reg.gauge(f"{name}_bytes_total", "bytes processed by this stage").set_function(
+    reg.counter(f"{name}_bytes_total", "bytes processed by this stage").set_function(
         lambda: stage.bytes, **labels
     )
-    reg.gauge(f"{name}_seconds_total", "seconds charged to this stage").set_function(
+    reg.counter(f"{name}_seconds_total", "seconds charged to this stage").set_function(
         lambda: stage.seconds, **labels
     )
-    reg.gauge(f"{name}_ops_total", "operations charged to this stage").set_function(
+    reg.counter(f"{name}_ops_total", "operations charged to this stage").set_function(
         lambda: stage.ops, **labels
     )
     reg.gauge(f"{name}_bytes_per_second", "stage throughput").set_function(
@@ -477,9 +477,10 @@ def register_drain_stats(
 ) -> None:
     """Bind a :class:`~repro.ckpt.ndp_daemon.DrainStats` into the registry.
 
-    Drains and backpressure stalls are counters; the skip/delta/byte
-    totals, the achieved compression factor and the compress/write/drain
-    :class:`StageCounter` stages are gauges.  ``queue_depth``, when
+    Drains, backpressure stalls and the compress/write/drain
+    :class:`StageCounter` totals are counters; the skip/delta/byte
+    totals, the achieved compression factor and the stage rates are
+    gauges.  ``queue_depth``, when
     given, is bound as the ``ndp_queue_depth`` gauge.
     """
     reg = registry or REGISTRY

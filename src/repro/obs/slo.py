@@ -219,20 +219,21 @@ class SLOTracker:
         return out
 
     def register_metrics(self, registry) -> None:
-        """Bind callback gauges + counters into a metrics registry.
+        """Bind the tracker's counts into a metrics registry.
 
-        Exports ``repro_slo_requests_total{route,verdict}``,
+        Exports the counters ``repro_slo_requests_total{route,verdict}``
+        and ``repro_slo_rejected_total{route,kind}`` and the gauges
         ``repro_slo_target{route}`` and
         ``repro_slo_burn_rate{route,window}`` (evaluated at scrape time).
         """
-        totals = registry.gauge(
+        totals = registry.counter(
             "repro_slo_requests_total", "requests accounted against an SLO, by verdict"
         )
         target_g = registry.gauge("repro_slo_target", "SLO target fraction per route")
         burn = registry.gauge(
             "repro_slo_burn_rate", "error-budget burn rate per route and window"
         )
-        rejected = registry.gauge(
+        rejected = registry.counter(
             "repro_slo_rejected_total",
             "requests rejected by load control, by route and kind (shed/expired)",
         )

@@ -141,28 +141,32 @@ def validate_record(rec: object) -> dict:
     return rec
 
 
-def validate_file(path: str | os.PathLike) -> int:
-    """Validate a JSON-lines trace file; returns the record count.
+def iter_numbered(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, validated record)`` from a JSON-lines trace
+    file, skipping blank lines.
 
-    Raises :class:`TraceSchemaError` with a 1-based line number on the
-    first malformed line (bad JSON or schema violation).
+    The one trace-file reader.  Raises :class:`TraceSchemaError`
+    ``"line N: ..."`` (1-based) on the first malformed line, bad JSON or
+    schema violation alike.
     """
-    count = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-            except ValueError as exc:
-                raise TraceSchemaError(f"line {lineno}: invalid JSON: {exc}") from None
-            try:
-                validate_record(rec)
+                rec = validate_record(json.loads(line))
             except TraceSchemaError as exc:
                 raise TraceSchemaError(f"line {lineno}: {exc}") from None
-            count += 1
-    return count
+            except ValueError as exc:
+                raise TraceSchemaError(f"line {lineno}: invalid JSON: {exc}") from None
+            yield lineno, rec
+
+
+def validate_file(path: str | os.PathLike) -> int:
+    """Validate a JSON-lines trace file (see :func:`iter_numbered`);
+    returns the record count."""
+    return sum(1 for _ in iter_numbered(path))
 
 
 def validate_request_trees(records: list[dict] | tuple[dict, ...]) -> dict:
@@ -757,12 +761,10 @@ def new_ctx_id() -> str | None:
 
 
 def iter_file(path: str | os.PathLike) -> Iterator[dict]:
-    """Yield validated records from a JSON-lines trace file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield validate_record(json.loads(line))
+    """Yield validated records from a JSON-lines trace file (see
+    :func:`iter_numbered`)."""
+    for _, rec in iter_numbered(path):
+        yield rec
 
 
 # Honour REPRO_TRACE at import: any process that touches the obs layer

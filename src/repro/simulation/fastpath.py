@@ -8,18 +8,19 @@ rate whenever it is unpaused.  This module exploits that renewal
 structure: instead of yielding through every event, it advances **a whole
 batch of trajectories failure-to-failure** with numpy.
 
-Two vectorized paths share the batch state:
+Two vectorized paths share the batch state; :func:`_needs_exact` picks
+one per config:
 
-* a **closed form** for ``host``, ``io-only`` and ``local-only`` without a
+* a **closed form** for strategies that do not drain, without a
   partner level: the piecewise-periodic timeline is inverted
   arithmetically to find each trajectory's position, accounting charges
   and checkpoint state at its next failure instant.  Dead NVM slots left
   by interrupted writes are tracked with a per-trajectory counter so the
   FIFO eviction of the newest completed checkpoint (the small-buffer
   corner) reproduces the DES at every ``nvm_capacity`` >= 1.
-* an **exact segment walker** for ``ndp`` and for any strategy with an
-  explicit partner level: the NVM circular buffer is modeled per slot
-  (in-flight / completed / drain-locked / on-I/O), mirroring
+* an **exact segment walker** for a strategy that drains and for a
+  local level with a partner level: the NVM circular buffer is modeled
+  per slot (in-flight / completed / drain-locked / on-I/O), mirroring
   :class:`~repro.simulation.storage.NVMBuffer` — admission evicts the
   oldest unlocked slot, the drain always locks the newest undrained
   record (so *stale drains* of older records, and the resulting
@@ -30,18 +31,11 @@ Two vectorized paths share the batch state:
   second).  Segments are still advanced for the whole batch at once; the
   walker is vectorized over trajectories, not over events.
 
-Exactness contract (the DES stays the reference oracle): ``host``,
-``io-only``, ``local-only`` and every partner-level config are reproduced
-*exactly* — every failure lands on the same schedule, consumes the same
-RNG draws and produces the same seven-way accounting, up to
-float-association noise (closed-form ``p0 + k*tau`` versus the DES's
-sequential adds).  ``ndp`` follows the same op-for-op schedule and
-returns the DES's exact result at every ``nvm_capacity`` but 1.  At
-capacity 1 the sub-ulp association in the drain-progress arithmetic
-(the walker subtracts per segment where the DES subtracts per contiguous
-unpaused span) leaves last-ulp differences in the stall and breakdown
-floats, with every counter equal — the matched-seed suite in
-``tests/simulation/test_fastpath.py`` pins both.
+The DES stays the reference oracle: every failure lands on the same
+schedule, consumes the same RNG draws and produces the same seven-way
+accounting up to float-association noise.  The equivalence contract, per
+strategy and ``nvm_capacity``, is in ``docs/RUNTIME.md`` and pinned by
+``tests/simulation/test_fastpath.py``.
 
 RNG stream compatibility: each trajectory draws from the same named
 :class:`~repro.simulation.rng.StreamFactory` streams as the DES
@@ -83,6 +77,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.breakdown import OverheadBreakdown
+from ..core.strategy import resolve
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .rng import StreamFactory
@@ -170,13 +165,12 @@ def unsupported_reason(config: SimConfig) -> str | None:
 def _needs_exact(config: SimConfig) -> bool:
     """Whether ``config`` takes the per-slot segment walker.
 
-    ``ndp`` always does (drain locks, stalls and stale drains live in the
-    ring); a partner level does for every strategy that has one (the
+    A strategy that drains always does (drain locks, stalls and stale
+    drains live in the ring); so does a partner level on a local one (the
     partner copy breaks the uniform cycle the closed form inverts).
     """
-    return config.strategy == "ndp" or (
-        config.partner_every > 0 and config.strategy != "io-only"
-    )
+    spec = resolve(config.strategy)
+    return spec.drains or (config.partner_every > 0 and spec.local)
 
 
 #: Per-trajectory outputs scattered into the input-order result store
@@ -191,7 +185,7 @@ _FIN_FIELDS = (
 _ROW_ARRAYS = (
     "mtti", "W", "tau", "delta_l", "delta_io", "delta_c", "cycle",
     "restore_l", "restore_io", "p_local", "ratio", "shape", "cap_arr",
-    "t_raw", "partner_every", "delta_partner", "p_partner",
+    "partner_every", "delta_partner", "p_partner",
     "t", "pos", "R", "attr_io", "c", "state", "acct", "L", "S",
     "partner_snap", "next_fail", "decide_mask", "n_dead",
     "failures", "rec_l", "rec_p", "rec_io", "io_ck", "loc_ck",
@@ -208,12 +202,12 @@ _ROW_ARRAYS = (
 class _FastBatch:
     """One vectorized batch: trajectories sharing strategy/pause/replay mode.
 
-    Every per-scenario quantity (MTTI, work target, commit times, ratio,
-    Weibull shape, NVM capacity, ...) is a per-trajectory array, so
-    heterogeneous configs batch together as long as the *schedule shape*
-    matches.  Exact-walker batches pad their ring arrays to the group's
-    maximum capacity (inert ``_S_PAD`` slots), so mixed capacities fuse
-    into one group.
+    What the strategy does is read from ``self.spec``.  Every per-scenario
+    quantity (MTTI, work target, commit times, ratio, Weibull shape, NVM
+    capacity, ...) is a per-trajectory array, so heterogeneous configs
+    batch together as long as the *schedule shape* matches.  Exact-walker
+    batches pad their ring arrays to the group's maximum capacity (inert
+    ``_S_PAD`` slots), so mixed capacities fuse into one group.
 
     ``idx`` selects the batch's rows out of ``configs`` — the group
     index array built once by :func:`simulate_batch`; the constructor
@@ -227,12 +221,8 @@ class _FastBatch:
         if idx is None:
             idx = np.arange(len(configs), dtype=np.intp)
         cfg0 = configs[int(idx[0])]
-        self.strategy = cfg0.strategy
+        self.spec = resolve(cfg0.strategy)
         self.pause = cfg0.pause_ndp_during_local
-        self.is_ndp = self.strategy == "ndp"
-        self.has_push = self.strategy == "host"
-        self.io_write = self.strategy == "io-only"
-        self.has_local_level = self.strategy != "io-only"
         self.exact = _needs_exact(cfg0)
         if cfg0.failure_times is not None:
             # Shared replay schedule (part of the batch group key).
@@ -254,9 +244,6 @@ class _FastBatch:
         self.ratio = np.empty(B, dtype=np.int64)
         self.shape = np.empty(B)
         self.cap_arr = np.empty(B, dtype=np.int64)
-        # Drain wall time for one checkpoint while unpaused — the
-        # min(io_bw/(1-f), compress_rate) bound expressed as seconds.
-        self.t_raw = np.empty(B)
         # Partner level (walker-only; 0 disables per trajectory).
         self.partner_every = np.empty(B, dtype=np.int64)
         self.delta_partner = np.empty(B)
@@ -278,10 +265,6 @@ class _FastBatch:
             self.ratio[row] = c.ratio
             self.shape[row] = c.failure_shape
             self.cap_arr[row] = c.nvm_capacity
-            self.t_raw[row] = max(
-                c.compression.compressed_size(x.checkpoint_size) / x.io_bandwidth,
-                x.checkpoint_size / c.compression.compress_rate,
-            )
             self.partner_every[row] = c.partner_every
             self.delta_partner[row] = x.checkpoint_size / c.partner_bandwidth
             self.p_partner[row] = c.p_partner_recovery
@@ -289,10 +272,10 @@ class _FastBatch:
             self._rng_fail.append(streams.get("failures"))
             self._rng_rec.append(streams.get("recovery"))
         self.has_partner = bool((self.partner_every > 0).any())
-        # Per-cycle commit charge: io-only commits straight to I/O.
-        self.delta_c = self.delta_io if self.io_write else self.delta_l
+        # Per-cycle commit charge: without a local level it goes to I/O.
+        self.delta_c = self.delta_l if self.spec.local else self.delta_io
         self.cycle = self.tau + self.delta_c
-        self.commit_cat = _I_CKPT_IO if self.io_write else _I_CKPT_L
+        self.commit_cat = _I_CKPT_L if self.spec.local else _I_CKPT_IO
 
         # Trajectory state.
         self.t = np.zeros(B)
@@ -453,7 +436,7 @@ class _FastBatch:
         jh = j[has]
         self.dr_slot[h] = jh
         self.ring_state[h, jh] = _S_LOCKED
-        self.dr_rho[h] = self.t_raw[h]
+        self.dr_rho[h] = self.delta_io[h]  # the drain's unpaused I/O write
         self.dr_busy[h] = True
         nh = g[~has]
         self.dr_busy[nh] = False
@@ -467,7 +450,7 @@ class _FastBatch:
         is processed before the host resumes — the stall path relies on
         it), record the I/O snapshot, and re-pick from the ring.
         """
-        if not self.is_ndp or g.size == 0:
+        if not self.spec.drains or g.size == 0:
             return
         rem = np.asarray(dur, dtype=float).copy()
         while True:
@@ -487,9 +470,8 @@ class _FastBatch:
 
     def _nvm_lost(self, g: np.ndarray) -> None:
         """Drop NVM contents and abort any in-flight drain (DES `_nvm_lost`)."""
-        if self.has_local_level:
-            self.L[g] = -1.0
-            self.n_dead[g] = 0
+        self.L[g] = -1.0
+        self.n_dead[g] = 0
         if self.exact:
             self.ring_n[g] = 0
             self.ring_state[g] = np.where(
@@ -554,7 +536,7 @@ class _FastBatch:
         the offset into the current cycle and into the current push.
         """
         cyc = self.cycle[sub]
-        if not self.has_push:
+        if not self.spec.host_push:
             jj = np.floor(dt / cyc)
             off = np.maximum(dt - jj * cyc, 0.0)
             k = jj.astype(np.int64)
@@ -602,7 +584,7 @@ class _FastBatch:
         np.add.at(self.acct, (sub, cat), rerun)
         self.acct[sub, _I_COMPUTE] += compute_adv - rerun
         self.acct[sub, self.commit_cat] += commit
-        if self.has_push:
+        if self.spec.host_push:
             self.acct[sub, _I_CKPT_IO] += push
 
     def _step_running(self) -> None:
@@ -618,7 +600,9 @@ class _FastBatch:
         n_int = np.maximum(np.ceil(w_rem / tau - 1e-9).astype(np.int64), 1)
         n_ck = n_int - 1
         c0 = self.c[idx]
-        if self.has_push:
+        # A commit lands in NVM, or in I/O without a local level.
+        ck, snap = (self.loc_ck, self.L) if self.spec.local else (self.io_ck, self.S)
+        if self.spec.host_push:
             n_push = (c0 + n_ck) // self.ratio[idx] - c0 // self.ratio[idx]
             T_done = w_rem + n_ck * d_c + n_push * self.delta_io[idx]
         else:
@@ -634,13 +618,10 @@ class _FastBatch:
                 dsub,
                 w_rem[sel],
                 n_ck[sel] * d_c[sel],
-                n_push[sel] * self.delta_io[idx][sel] if self.has_push else n_push[sel],
+                n_push[sel] * self.delta_io[idx][sel] if self.spec.host_push else n_push[sel],
             )
-            if self.io_write:
-                self.io_ck[dsub] += n_ck[sel]
-            else:
-                self.loc_ck[dsub] += n_ck[sel]
-                self.io_ck[dsub] += n_push[sel]
+            ck[dsub] += n_ck[sel]
+            self.io_ck[dsub] += n_push[sel]
             self.c[dsub] += n_ck[sel]
             self.t[dsub] += T_done[sel]
             self.pos[dsub] = self.W[dsub]
@@ -656,7 +637,7 @@ class _FastBatch:
                 in_write, tau_f, np.where(in_push, 0.0, np.minimum(off, tau_f))
             )
             commit = k * d_c[sel] + np.where(in_write, off - tau_f, 0.0)
-            if self.has_push:
+            if self.spec.host_push:
                 r_f = self.ratio[fsub]
                 c0_f = c0[sel]
                 n_push_done = (c0_f + k) // r_f - c0_f // r_f - in_push
@@ -666,21 +647,15 @@ class _FastBatch:
                 push = np.zeros(fsub.size)
             self._charge_running(fsub, compute_adv, commit, push)
             p0_f = p0[sel]
-            if self.io_write:
-                self.io_ck[fsub] += k
-                got = k >= 1
-                self.S[fsub[got]] = (p0_f + k * tau_f)[got]
-            else:
-                self.loc_ck[fsub] += k
-                got = k >= 1
-                self.L[fsub[got]] = (p0_f + k * tau_f)[got]
-                if self.has_push:
-                    r_f = self.ratio[fsub]
-                    c0_f = c0[sel]
-                    self.io_ck[fsub] += n_push_done
-                    pushed = n_push_done >= 1
-                    last_mult = (c0_f // r_f + n_push_done) * r_f
-                    self.S[fsub[pushed]] = (p0_f + (last_mult - c0_f) * tau_f)[pushed]
+            ck[fsub] += k
+            got = k >= 1
+            snap[fsub[got]] = (p0_f + k * tau_f)[got]
+            if self.spec.host_push:
+                self.io_ck[fsub] += n_push_done
+                pushed = n_push_done >= 1
+                last_mult = (c0_f // r_f + n_push_done) * r_f
+                self.S[fsub[pushed]] = (p0_f + (last_mult - c0_f) * tau_f)[pushed]
+            if self.spec.local:
                 # Dead-slot bookkeeping: an interrupted write's record
                 # occupies a slot forever; once ``cap - 1`` dead records
                 # sit above the newest completed one, this admit evicted
@@ -706,7 +681,7 @@ class _FastBatch:
             self.ph[pg] = _P_PARTNER
             self.seg_rem[pg] = self.delta_partner[pg]
             g = g[~due]
-        if push and self.has_push and g.size:
+        if push and self.spec.host_push and g.size:
             due = self.c[g] % self.ratio[g] == 0
             hg = g[due]
             self.ph[hg] = _P_PUSH
@@ -714,6 +689,21 @@ class _FastBatch:
             g = g[~due]
         self.ph[g] = _P_COMPUTE
         self.comp_rem[g] = np.minimum(self.tau[g], self.W[g] - self.pos[g])
+
+    def _block(
+        self, g: np.ndarray, secs: np.ndarray, cat: int, drain: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Hold rows ``g`` for ``secs`` host-blocking seconds, or until their
+        failure (which marks them for ``_decide``); charges ``cat``, runs
+        the drain alongside when ``drain``, returns ``(failed, dur)``."""
+        failed = self.next_fail[g] < self.t[g] + secs
+        dur = np.where(failed, self.next_fail[g] - self.t[g], secs)
+        self.acct[g, cat] += dur
+        if drain:
+            self._drain_advance(g, dur)
+        self.t[g] = self.t[g] + dur
+        self.decide_mask[g[failed]] = True
+        return failed, dur
 
     def _live(self, phase: int) -> np.ndarray:
         """Running rows in ``phase`` that have not failed this step."""
@@ -788,33 +778,20 @@ class _FastBatch:
                 # Every slot is drain-locked: the host blocks until the
                 # in-flight drain finishes (its completion is processed
                 # first), charging a stall; survivors re-check the gate.
-                rho = self.dr_rho[gs]
-                failed = self.next_fail[gs] < self.t[gs] + rho
-                dur = np.where(failed, self.next_fail[gs] - self.t[gs], rho)
+                _, dur = self._block(gs, self.dr_rho[gs], _I_CKPT_L)
                 self.stall[gs] += dur
-                self.acct[gs, _I_CKPT_L] += dur
-                self._drain_advance(gs, dur)
-                self.t[gs] = self.t[gs] + dur
-                self.decide_mask[gs[failed]] = True
 
         # -- the local write (or its death by interrupt) -------------
         g = self._live(_P_WRITE)
         if g.size:
-            d = self.seg_rem[g]
-            failed = self.next_fail[g] < self.t[g] + d
-            dur = np.where(failed, self.next_fail[g] - self.t[g], d)
-            self.acct[g, _I_CKPT_L] += dur
-            if not self.pause:
-                self._drain_advance(g, dur)
-            self.t[g] = self.t[g] + dur
             # an interrupted write's record stays in-flight (dead)
-            self.decide_mask[g[failed]] = True
+            failed, _ = self._block(g, self.seg_rem[g], _I_CKPT_L, drain=not self.pause)
             go = g[~failed]
             if go.size:
                 self.ring_state[go, self.ring_n[go] - 1] = _S_COMPLETED
                 self.c[go] += 1
                 self.loc_ck[go] += 1
-                if self.is_ndp:
+                if self.spec.drains:
                     # doorbell: an idle drain locks the new record
                     self._drain_pick(go[~self.dr_busy[go]])
                 self._to_next(go, partner=True, push=True)
@@ -822,28 +799,17 @@ class _FastBatch:
         # -- the partner copy (CRSimulation._checkpoint_partner) -----
         g = self._live(_P_PARTNER) if self.has_partner else np.empty(0, dtype=np.int64)
         if g.size:
-            d = self.seg_rem[g]
-            failed = self.next_fail[g] < self.t[g] + d
-            dur = np.where(failed, self.next_fail[g] - self.t[g], d)
-            self.acct[g, _I_CKPT_L] += dur
-            self._drain_advance(g, dur)
-            self.t[g] = self.t[g] + dur
-            self.decide_mask[g[failed]] = True
+            failed, _ = self._block(g, self.seg_rem[g], _I_CKPT_L)
             go = g[~failed]
             if go.size:
                 self.partner_snap[go] = self.pos[go]
                 self.partner_ck[go] += 1
                 self._to_next(go, partner=False, push=True)
 
-        # -- the host I/O push (host strategy; no drain exists) ------
-        g = self._live(_P_PUSH) if self.has_push else np.empty(0, dtype=np.int64)
+        # -- the host I/O push (host_push; no drain exists) ---------
+        g = self._live(_P_PUSH) if self.spec.host_push else np.empty(0, dtype=np.int64)
         if g.size:
-            d = self.seg_rem[g]
-            failed = self.next_fail[g] < self.t[g] + d
-            dur = np.where(failed, self.next_fail[g] - self.t[g], d)
-            self.acct[g, _I_CKPT_IO] += dur
-            self.t[g] = self.t[g] + dur
-            self.decide_mask[g[failed]] = True
+            failed, _ = self._block(g, self.seg_rem[g], _I_CKPT_IO, drain=False)
             go = g[~failed]
             if go.size:
                 self.S[go] = self.pos[go]
@@ -870,15 +836,15 @@ class _FastBatch:
         else:
             lpos = self.L[idx]
             has_local = lpos >= 0.0
-        use_local = np.zeros(idx.size, dtype=bool)
-        if self.has_local_level:
-            if self.strategy == "local-only":
-                use_local = has_local
-            else:
-                dsub = idx[has_local]
-                if dsub.size:
-                    u = self._rec_draws(dsub)
-                    use_local[has_local] = u < self.p_local[dsub]
+        # (without a local level, ``has_local`` never holds)
+        if not self.spec.has_io:
+            use_local = has_local
+        else:
+            use_local = np.zeros(idx.size, dtype=bool)
+            dsub = idx[has_local]
+            if dsub.size:
+                u = self._rec_draws(dsub)
+                use_local[has_local] = u < self.p_local[dsub]
         use_partner = np.zeros(idx.size, dtype=bool)
         if self.has_partner:
             elig = (
@@ -1059,10 +1025,10 @@ def simulate_batch(configs: Sequence[SimConfig]) -> list[SimulationResult]:
                 t0,
                 time.monotonic(),
                 "batch",
-                label=f"{batch.strategy}x{len(members)}",
+                label=f"{batch.spec.name}x{len(members)}",
                 attrs={
                     "size": len(members),
-                    "strategy": batch.strategy,
+                    "strategy": batch.spec.name,
                     "occupancy": round(batch.occupancy, 4),
                 },
             )

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from ..core.configs import NO_COMPRESSION, CompressionSpec, CRParameters
+from ..core.strategy import STRATEGIES, resolve
 from .engine import Environment, Event, Interrupt
 from .rng import StreamFactory
 from .stats import SimulationResult, TimeAccounting
@@ -43,8 +44,6 @@ from .storage import CheckpointRecord, NVMBuffer
 from .trace import TimelineRecorder
 
 __all__ = ["SimConfig", "CRSimulation", "simulate", "STRATEGIES", "ENGINES"]
-
-STRATEGIES = ("host", "ndp", "io-only", "local-only")
 
 #: Simulation engines: the event-level DES (reference oracle) and the
 #: vectorized renewal-segment fast path (:mod:`repro.simulation.fastpath`).
@@ -63,10 +62,11 @@ class SimConfig:
     params:
         The C/R parameter bundle shared with the analytic model.
     strategy:
-        One of ``"host"`` (multilevel, host pushes to I/O), ``"ndp"``
-        (multilevel, NDP drains to I/O), ``"io-only"``, ``"local-only"``.
+        A name in :data:`~repro.core.strategy.TABLE`, which says what the
+        strategy does.
     ratio:
-        Locally-saved : I/O-saved ratio for the ``"host"`` strategy.
+        Locally-saved : I/O-saved ratio where the strategy's ``host_push``
+        holds.
     compression:
         Compression engine applied to I/O-level traffic.
     work:
@@ -133,8 +133,7 @@ class SimConfig:
     trace: Optional[TimelineRecorder] = None
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}: {self.strategy!r}")
+        resolve(self.strategy)  # a ValueError naming the table if unknown
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}: {self.engine!r}")
         if self.ratio < 1:
@@ -172,6 +171,7 @@ class CRSimulation:
 
     def __init__(self, config: SimConfig):
         self.cfg = config
+        self.spec = resolve(config.strategy)
         self.p = config.params
         self.env = Environment()
         self.acct = TimeAccounting()
@@ -217,12 +217,6 @@ class CRSimulation:
         self._restore_l = self.p.local_restore_time + self.p.restart_overhead
         self._restore_io = self.p.io_restore_time(config.compression) + self.p.restart_overhead
         self._tau = self.p.tau
-        # NDP drain wall time for one checkpoint while running unpaused
-        # (compression overlaps the network write).
-        self._drain_time = max(
-            config.compression.compressed_size(self.p.checkpoint_size) / self.p.io_bandwidth,
-            self.p.checkpoint_size / config.compression.compress_rate,
-        )
 
     # -- public entry point --------------------------------------------------
 
@@ -230,7 +224,7 @@ class CRSimulation:
         """Execute the scenario to completion and return statistics."""
         self._host_proc = self.env.process(self._host(), name="host")
         self.env.process(self._failure_injector(), name="failures")
-        if self.cfg.strategy == "ndp":
+        if self.spec.drains:
             self._ndp_proc = self.env.process(self._ndp(), name="ndp")
         self.env.run(self._host_proc)
         wall = self.env.now
@@ -294,11 +288,11 @@ class CRSimulation:
                 yield from self._checkpoint_local()
                 if (
                     self.cfg.partner_every
-                    and self.cfg.strategy in ("host", "ndp", "local-only")
+                    and self.spec.local
                     and self._ckpt_counter % self.cfg.partner_every == 0
                 ):
                     yield from self._checkpoint_partner()
-                if self.cfg.strategy == "host" and self._ckpt_counter % self.cfg.ratio == 0:
+                if self.spec.host_push and self._ckpt_counter % self.cfg.ratio == 0:
                     yield from self._checkpoint_io_host()
             except Interrupt as intr:
                 self._pending_failure = intr.cause
@@ -311,13 +305,7 @@ class CRSimulation:
         the rest is fresh compute.  A failure mid-interval still banks the
         progress made — re-execution is identical to first execution.
         """
-        if self.cfg.strategy == "local-only":
-            span = self._tau
-        elif self.cfg.strategy == "io-only":
-            span = self._tau
-        else:
-            span = self._tau
-        remaining = min(span, self.cfg.work - self.position)
+        remaining = min(self._tau, self.cfg.work - self.position)
         while remaining > 1e-12:
             in_rerun = self.position < self._rerun_until
             chunk = min(remaining, self._rerun_until - self.position) if in_rerun else remaining
@@ -340,11 +328,11 @@ class CRSimulation:
     def _checkpoint_local(self) -> Generator[Event, None, None]:
         """Blocking write of the current state to local NVM.
 
-        For the ``io-only`` strategy this is instead a blocking write to
-        global I/O (there is no local level).  The NDP pauses for the
-        duration (all NVM bandwidth goes to the host write).
+        Without a local level it is instead a blocking write to global
+        I/O.  The NDP pauses for the duration (all NVM bandwidth goes to
+        the host write).
         """
-        if self.cfg.strategy == "io-only":
+        if not self.spec.local:
             yield from self._checkpoint_io_host()
             return
 
@@ -382,9 +370,6 @@ class CRSimulation:
         self.local_checkpoints += 1
         self.acct.add("checkpoint_local", self._delta_l)
         self._emit("HOST", start, self.env.now, "ckpt-local", f"c{rec.ckpt_id}")
-        if self.cfg.strategy == "local-only":
-            # No I/O tier: the record exists only locally.
-            return
         self._ndp_notify()
 
     def _checkpoint_partner(self) -> Generator[Event, None, None]:
@@ -395,34 +380,31 @@ class CRSimulation:
         charged to ``checkpoint_local``.
         """
         snapshot = self.position
-        start = self.env.now
-        try:
-            yield self.env.timeout(self._delta_partner)
-        except Interrupt:
-            self.acct.add("checkpoint_local", self.env.now - start)
-            self._emit("HOST", start, self.env.now, "ckpt-local", "P")
-            raise
+        yield from self._hold(self._delta_partner, "checkpoint_local", "ckpt-local", "P")
         self._partner_snapshot = snapshot
         self.partner_checkpoints += 1
-        self.acct.add("checkpoint_local", self._delta_partner)
-        self._emit("HOST", start, self.env.now, "ckpt-local", "P")
 
     def _checkpoint_io_host(self) -> Generator[Event, None, None]:
         """Host-blocking (compression-overlapped) write to global I/O."""
         snapshot = self.position
-        start = self.env.now
-        try:
-            yield self.env.timeout(self._delta_io)
-        except Interrupt:
-            self.acct.add("checkpoint_io", self.env.now - start)
-            self._emit("HOST", start, self.env.now, "ckpt-io")
-            raise
+        yield from self._hold(self._delta_io, "checkpoint_io", "ckpt-io")
         self._io_snapshots.append((snapshot, self.env.now))
         self.io_checkpoints += 1
-        if self.cfg.strategy == "io-only":
-            self._ckpt_counter += 1
-        self.acct.add("checkpoint_io", self._delta_io)
-        self._emit("HOST", start, self.env.now, "ckpt-io")
+
+    def _hold(
+        self, seconds: float, category: str, kind: str, label: str = ""
+    ) -> Generator[Event, None, None]:
+        """Block the host for ``seconds``, charged to ``category``; a
+        failure charges the time spent and propagates its interrupt."""
+        start = self.env.now
+        try:
+            yield self.env.timeout(seconds)
+        except Interrupt:
+            self.acct.add(category, self.env.now - start)
+            self._emit("HOST", start, self.env.now, kind, label)
+            raise
+        self.acct.add(category, seconds)
+        self._emit("HOST", start, self.env.now, kind, label)
 
     # -- recovery ---------------------------------------------------------------
 
@@ -440,14 +422,12 @@ class CRSimulation:
         self._pending_failure = None
         fail_position = self.position
 
-        use_local = False
-        if self.cfg.strategy in ("host", "ndp", "local-only"):
-            local_rec = self.nvm.latest_completed(self.env.now)
-            if local_rec is not None:
-                if self.cfg.strategy == "local-only":
-                    use_local = True
-                else:
-                    use_local = float(self._rng_recover.random()) < self.p.p_local_recovery
+        # Without a local level the NVM never holds a record.
+        local_rec = self.nvm.latest_completed(self.env.now)
+        use_local = local_rec is not None and (
+            not self.spec.has_io
+            or float(self._rng_recover.random()) < self.p.p_local_recovery
+        )
 
         use_partner = False
         if not use_local and self.cfg.partner_every and self._partner_snapshot is not None:
@@ -455,62 +435,40 @@ class CRSimulation:
                 float(self._rng_recover.random()) < self.cfg.p_partner_recovery
             )
 
-        if use_local:
-            assert local_rec is not None
-            start = self.env.now
-            try:
-                yield self.env.timeout(self._restore_l)
-            except Interrupt as intr:
-                self.acct.add("restore_local", self.env.now - start)
-                self._emit("HOST", start, self.env.now, "restore")
-                self._pending_failure = intr.cause
-                return
-            self.acct.add("restore_local", self._restore_l)
-            self._emit("HOST", start, self.env.now, "restore")
-            self.recoveries_local += 1
-            self.position = local_rec.position
-            self._rerun_attr = "rerun_local"
-        elif use_partner:
-            # Local level unusable but the partner copy survives: the
-            # node's NVM contents are gone, the restore streams from the
-            # partner over the interconnect.
-            self._nvm_lost()
-            snapshot = self._partner_snapshot
-            assert snapshot is not None
-            start = self.env.now
-            try:
-                yield self.env.timeout(self._delta_partner)
-            except Interrupt as intr:
-                self.acct.add("restore_local", self.env.now - start)
-                self._emit("HOST", start, self.env.now, "restore")
-                self._pending_failure = intr.cause
-                return
-            self.acct.add("restore_local", self._delta_partner)
-            self._emit("HOST", start, self.env.now, "restore")
-            self.recoveries_partner += 1
-            self.position = snapshot
-            self._rerun_attr = "rerun_local"
-        else:
-            # Local level unusable: NVM contents lost, drain aborted.
-            self._nvm_lost()
-            snapshot = self._io_snapshots[-1][0] if self._io_snapshots else 0.0
-            restore_time = self._restore_io if self._io_snapshots else 0.0
-            self._ndp_pause()  # drain pauses while recovery reads from I/O
-            start = self.env.now
-            try:
-                yield self.env.timeout(restore_time)
-            except Interrupt as intr:
-                self.acct.add("restore_io", self.env.now - start)
-                self._emit("HOST", start, self.env.now, "restore")
-                self._pending_failure = intr.cause
-                return
-            finally:
-                self._ndp_resume()
-            self.acct.add("restore_io", restore_time)
-            self._emit("HOST", start, self.env.now, "restore")
-            self.recoveries_io += 1
-            self.position = snapshot
-            self._rerun_attr = "rerun_io"
+        try:
+            if use_local:
+                assert local_rec is not None
+                yield from self._hold(self._restore_l, "restore_local", "restore")
+                self.recoveries_local += 1
+                self.position = local_rec.position
+                self._rerun_attr = "rerun_local"
+            elif use_partner:
+                # Local level unusable but the partner copy survives: the
+                # node's NVM contents are gone, the restore streams from the
+                # partner over the interconnect.
+                self._nvm_lost()
+                snapshot = self._partner_snapshot
+                assert snapshot is not None
+                yield from self._hold(self._delta_partner, "restore_local", "restore")
+                self.recoveries_partner += 1
+                self.position = snapshot
+                self._rerun_attr = "rerun_local"
+            else:
+                # Local level unusable: NVM contents lost, drain aborted.
+                self._nvm_lost()
+                snapshot = self._io_snapshots[-1][0] if self._io_snapshots else 0.0
+                restore_time = self._restore_io if self._io_snapshots else 0.0
+                self._ndp_pause()  # drain pauses while recovery reads from I/O
+                try:
+                    yield from self._hold(restore_time, "restore_io", "restore")
+                finally:
+                    self._ndp_resume()
+                self.recoveries_io += 1
+                self.position = snapshot
+                self._rerun_attr = "rerun_io"
+        except Interrupt as intr:
+            self._pending_failure = intr.cause
+            return
 
         # A partner snapshot "ahead" of the rollback point captures state
         # the re-execution has not reached yet; discard it (real systems
@@ -544,7 +502,9 @@ class CRSimulation:
                     pass
                 continue
             self.nvm.lock(rec)
-            remaining = self._drain_time
+            # One I/O write costs the same whoever makes it; the drain
+            # pays it in unpaused wall seconds.
+            remaining = self._delta_io
             aborted = False
             while remaining > 1e-12:
                 if self._ndp_pause_depth > 0:

@@ -171,9 +171,9 @@ class TestAdapters:
         stage = StageCounter()
         register_stage_counter(stage, "drain_compress", reg, app="a")
         stage.add(1000, 0.5)
-        assert reg.gauge("drain_compress_bytes_total").value(app="a") == 1000
+        assert reg.counter("drain_compress_bytes_total").value(app="a") == 1000
         assert reg.gauge("drain_compress_bytes_per_second").value(app="a") == 2000.0
-        assert reg.gauge("drain_compress_ops_total").value(app="a") == 1
+        assert reg.counter("drain_compress_ops_total").value(app="a") == 1
 
     def test_runtime_metrics_gauges(self, reg):
         m = RuntimeMetrics()
@@ -196,7 +196,7 @@ class TestAdapters:
         assert reg.gauge("ndp_bytes_in").value(app="d") == 100
         assert reg.counter("ndp_backpressure_stalls_total").value(app="d") == 2
         assert reg.gauge("ndp_achieved_factor").value(app="d") == pytest.approx(0.6)
-        assert reg.gauge("ndp_compress_bytes_total").value(app="d") == 100
+        assert reg.counter("ndp_compress_bytes_total").value(app="d") == 100
 
     def test_adapters_report_live_in_snapshot(self, reg):
         stage = StageCounter()

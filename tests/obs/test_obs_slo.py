@@ -143,3 +143,7 @@ class TestTracker:
         assert 'repro_slo_requests_total{route="simulate",verdict="bad"} 1' in text
         assert 'repro_slo_target{route="simulate"} 0.99' in text
         assert 'repro_slo_burn_rate{route="simulate",window="5m"} 50' in text
+        assert "# TYPE repro_slo_requests_total counter" in text
+        assert "# TYPE repro_slo_rejected_total counter" in text
+        assert "# TYPE repro_slo_target gauge" in text
+        assert "# TYPE repro_slo_burn_rate gauge" in text

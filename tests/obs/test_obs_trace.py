@@ -201,10 +201,17 @@ class TestValidation:
             trace.validate_record([1, 2])
 
     def test_validate_file_reports_line(self, tmp_path):
+        """Both readers name the 1-based line of bad JSON and of a schema
+        violation alike (the blank line 2 still counts)."""
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(self._good()) + "\n{not json\n")
-        with pytest.raises(trace.TraceSchemaError, match="line 2"):
-            trace.validate_file(path)
+        for bad, message in (
+            ("{not json", "line 3: invalid JSON"),
+            ('{"lane": "x"}', "line 3: missing required field"),
+        ):
+            path.write_text(json.dumps(self._good()) + "\n\n" + bad + "\n")
+            for read in (trace.validate_file, lambda p: list(trace.iter_file(p))):
+                with pytest.raises(trace.TraceSchemaError, match=message):
+                    read(path)
 
     def test_validate_file_skips_blank_lines(self, tmp_path):
         path = tmp_path / "t.jsonl"

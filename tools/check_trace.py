@@ -29,7 +29,6 @@ orphan spans), 1 otherwise.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -37,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.obs.trace import (  # noqa: E402
     TraceSchemaError,
-    validate_record,
+    iter_numbered,
     validate_request_trees,
 )
 
@@ -48,24 +47,8 @@ def load_records(path: str) -> tuple[list[dict], list[int]]:
     Raises :class:`TraceSchemaError` with a 1-based line number on the
     first malformed line.
     """
-    records: list[dict] = []
-    lines: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:
-                raise TraceSchemaError(f"line {lineno}: invalid JSON: {exc}") from None
-            try:
-                validate_record(rec)
-            except TraceSchemaError as exc:
-                raise TraceSchemaError(f"line {lineno}: {exc}") from None
-            records.append(rec)
-            lines.append(lineno)
-    return records, lines
+    numbered = list(iter_numbered(path))
+    return [rec for _, rec in numbered], [lineno for lineno, _ in numbered]
 
 
 def main(argv: list[str] | None = None) -> int:
