@@ -31,6 +31,7 @@ machines of different absolute speed.
 from __future__ import annotations
 
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -150,8 +151,8 @@ def _drain_once(payloads: dict[int, bytes], root: Path,
     codec from a local store under ``root`` into an I/O store under it,
     throttled to ``throttle_bps``.
 
-    Returns the drain's wall time, its daemon (for ``stats``) and the
-    I/O store holding the drained checkpoint of app ``APP_ID``.
+    Returns the drain's wall time, its daemon, stopped (for ``stats``),
+    and the I/O store holding the drained checkpoint of app ``APP_ID``.
     """
     local = LocalStore(root / "local", capacity=4)
     io = IOStore(root / "io", throttle_bps=throttle_bps)
@@ -164,8 +165,12 @@ def _drain_once(payloads: dict[int, bytes], root: Path,
     t0 = time.perf_counter()
     daemon._drain_one(1)
     dt = time.perf_counter() - t0
+    daemon.stop()
     if daemon.stats.checkpoints_drained != 1:
         raise SystemExit("FATAL: drain did not complete")
+    writers = [t.name for t in threading.enumerate() if t.name.startswith("ndp-write")]
+    if writers:
+        raise SystemExit(f"FATAL: writer threads alive after stop(): {writers}")
     # /metrics must read the daemon's own count, and an idle queue.
     drains = REGISTRY.counter("ndp_drains_total").value(app=APP_ID)
     depth = REGISTRY.gauge("ndp_queue_depth").value(app=APP_ID)

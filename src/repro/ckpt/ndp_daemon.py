@@ -13,10 +13,10 @@ Faithful to Section 4.2:
 * compression overlaps the I/O write block-by-block: the daemon thread
   feeds compressed frames (:func:`repro.ckpt.stream.rank_frames`, the
   same frames the host-mode push writes) through a bounded queue to a
-  single writer thread streaming them into the (possibly throttled) I/O
-  store, so at most ``queue_depth`` blocks are in flight and a rank's
-  compressed payload is never materialized whole (Section 4.2.2's
-  small-DMA pipeline),
+  single writer thread, kept for the daemon's lifetime, streaming them
+  into the (possibly throttled) I/O store, so at most ``queue_depth``
+  blocks are in flight and a rank's compressed payload is never
+  materialized whole (Section 4.2.2's small-DMA pipeline),
 * :meth:`pause` / :meth:`resume` let the host claim full NVM bandwidth
   during its local checkpoint writes, and recovery code pauses the drain
   while it reads from global I/O (Section 4.2.3).
@@ -32,7 +32,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from ..compression.codecs import Codec
@@ -168,6 +168,7 @@ class NDPDrainDaemon:
         self._idle.set()
         self._high_water = -1
         self._thread: threading.Thread | None = None
+        self._writer: ThreadPoolExecutor | None = None
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -180,7 +181,8 @@ class NDPDrainDaemon:
         return self
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Stop the daemon, waiting for the current drain to finish."""
+        """Stop the daemon, waiting for the current drain to finish, and
+        end its writer thread."""
         self._stop.set()
         self._running.set()  # unblock a paused loop so it can exit
         if self._thread is not None:
@@ -188,6 +190,9 @@ class NDPDrainDaemon:
             if self._thread.is_alive():
                 raise RuntimeError("NDP drain daemon failed to stop in time")
             self._thread = None
+        if self._writer is not None:
+            self._writer.shutdown(wait=True)
+            self._writer = None
 
     def __enter__(self) -> "NDPDrainDaemon":
         return self.start()
@@ -312,52 +317,59 @@ class NDPDrainDaemon:
         falls behind, ``put`` blocks and compression stalls rather than
         buffering the checkpoint.  The compressor may run one rank ahead
         of the writer, still bounded by that rank's queue.
+
+        The writer thread is the daemon's, made on first use and ended by
+        :meth:`stop`, so draining starts no thread per checkpoint.  On
+        any failure every rank write submitted here has finished before
+        this returns, so the caller may delete the staged ranks.
         """
         delta_base = self._base_id if use_delta else None
         codec_name = self.codec.name if self.codec is not None else None
+        if self._writer is None:
+            self._writer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ndp-write")
+        submitted: list[Future] = []
         try:
-            with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ndp-write") as writer:
-                pending: Future | None = None
-                for rank, (header, payload) in sorted(files.items()):
-                    self._running.wait()
-                    body = self._rank_body(rank, payload, use_delta)
-                    frames = rank_frames(body, self.codec, self.block_size)
-                    fifo: queue.Queue = queue.Queue(maxsize=self.queue_depth)
-                    self._fifo = fifo
-                    fut = writer.submit(
-                        self._write_rank,
-                        ckpt_id,
-                        rank,
-                        fifo,
-                        header.position,
-                        header.uncompressed_size,
-                        codec_name,
-                        delta_base,
-                    )
-                    out_bytes = 0
-                    t0 = time.perf_counter()
-                    try:
-                        for frame in frames:
-                            self.stats.compress.add(len(frame), time.perf_counter() - t0)
-                            out_bytes += len(frame)
-                            self._feed(fifo, fut, bytes(frame))
-                            t0 = time.perf_counter()
-                    except BaseException:
-                        # The writer blocks on the queue until told the rank
-                        # is over; leaving without the abort mark would hang
-                        # the executor's shutdown (and this drain) forever.
-                        self._abort(fifo, fut)
-                        raise
-                    fifo.put(None)
-                    if pending is not None:
-                        pending.result()
-                    pending = fut
-                    self.stats.bytes_in += len(payload)
-                    self.stats.bytes_out += out_bytes
-                if pending is not None:
-                    pending.result()
+            for rank, (header, payload) in sorted(files.items()):
+                self._running.wait()
+                body = self._rank_body(rank, payload, use_delta)
+                frames = rank_frames(body, self.codec, self.block_size)
+                fifo: queue.Queue = queue.Queue(maxsize=self.queue_depth)
+                self._fifo = fifo
+                fut = self._writer.submit(
+                    self._write_rank,
+                    ckpt_id,
+                    rank,
+                    fifo,
+                    header.position,
+                    header.uncompressed_size,
+                    codec_name,
+                    delta_base,
+                )
+                submitted.append(fut)
+                out_bytes = 0
+                t0 = time.perf_counter()
+                try:
+                    for frame in frames:
+                        self.stats.compress.add(len(frame), time.perf_counter() - t0)
+                        out_bytes += len(frame)
+                        self._feed(fifo, fut, bytes(frame))
+                        t0 = time.perf_counter()
+                except BaseException:
+                    # The writer blocks on the queue until told the rank
+                    # is over; leaving without the abort mark would hang
+                    # the wait below (and the writer thread) forever.
+                    self._abort(fifo, fut)
+                    raise
+                fifo.put(None)
+                if len(submitted) > 1:
+                    submitted[-2].result()
+                self.stats.bytes_in += len(payload)
+                self.stats.bytes_out += out_bytes
+            if submitted:
+                submitted[-1].result()
         finally:
             self._fifo = None
+            wait(submitted)
 
     def _queue_depth(self) -> int:
         """Frames queued for the writer now; 0 when no drain is running."""

@@ -247,7 +247,7 @@ def single_level(
     eff = float(daly.efficiency(tau, delta, params.mtti, restore))
     is_io = level == "io"
     name = "I/O Only" if is_io else "Local Only"
-    if compression.factor > 0:
+    if is_io and compression.factor > 0:  # the local level never compresses
         name += f" + compression({compression.factor:.0%})"
 
     ckpt_frac = (delta / tau) * eff

@@ -203,37 +203,50 @@ def blocked_drift(
     """Compare per-level host-blocked seconds against the model.
 
     ``metrics`` duck-types :class:`~repro.ckpt.metrics.RuntimeMetrics`.
-    Predictions: local commits block ``delta_L`` each; where ``mode``'s
-    strategy has ``host_push``, I/O pushes block ``delta_IO`` each (one
-    every ``io_every`` checkpoints); otherwise I/O blocking is *zero by
-    construction* — any measured value is pure drift.
+    Predictions follow ``mode``'s :data:`~repro.core.strategy.TABLE`
+    entry: a local level blocks ``delta_L`` per checkpoint; ``host_push``
+    blocks ``delta_IO`` per push (one every ``io_every`` checkpoints); an
+    I/O writer without a local level blocks ``delta_IO`` per checkpoint;
+    a drain or no I/O level blocks on I/O for *zero* seconds, so any
+    measured value is pure drift.  Recoveries read the local level when
+    there is one, else the I/O level.
     """
+    spec = resolve(mode)
     report = DriftReport(title or f"host-blocked time ({mode} mode): measured vs model")
     n = max(metrics.checkpoints, 1)
     report.add(
         "blocked local s/ckpt",
         metrics.blocked_seconds.get("local", 0.0) / n,
-        params.local_commit_time,
+        params.local_commit_time if spec.local else 0.0,
         "s",
     )
-    if resolve(mode).host_push:
+    io_blocked = metrics.blocked_seconds.get("io", 0.0)
+    if spec.host_push:
         pushes = max(metrics.checkpoints // max(io_every, 1), 1)
         report.add(
             "blocked I/O s/push",
-            metrics.blocked_seconds.get("io", 0.0) / pushes,
+            io_blocked / pushes,
             params.io_commit_time(compression),
             "s",
         )
     else:
-        report.add("blocked I/O s (total)", metrics.blocked_seconds.get("io", 0.0), 0.0, "s")
+        writes = metrics.checkpoints if spec.has_io and not spec.local else 0
+        report.add(
+            "blocked I/O s (total)",
+            io_blocked,
+            writes * params.io_commit_time(compression),
+            "s",
+        )
     if metrics.restores:
         report.add(
             "blocked restore s/recovery",
             metrics.blocked_seconds.get("restore", 0.0) / metrics.restores,
-            params.local_restore_time,
+            params.local_restore_time if spec.local else params.io_restore_time(compression),
             "s",
         )
-        report.note("restore prediction assumes local-level recovery")
+        report.note(
+            f"restore prediction assumes {'local' if spec.local else 'I/O'}-level recovery"
+        )
     return report
 
 

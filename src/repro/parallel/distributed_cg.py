@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..workloads.base import deserialize_state, serialize_state
+from ..workloads.base import deserialize_state, field_dot, serialize_state
 from .comm import Communicator
 
 __all__ = ["DistributedStencilCG"]
@@ -133,8 +133,9 @@ class DistributedStencilCG:
     # -- collectives --------------------------------------------------------------------
 
     def _dot(self, a: list[np.ndarray], b: list[np.ndarray]) -> float:
-        """Distributed dot product: local vdot per rank, then allreduce."""
-        locals_ = [float(np.vdot(a[r], b[r]).real) for r in range(self.ranks)]
+        """Distributed dot product: the proxies' :func:`field_dot` per
+        rank, then allreduce."""
+        locals_ = [field_dot(a[r], b[r]) for r in range(self.ranks)]
         return self.comm.allreduce_sum(locals_)
 
     # -- CG ---------------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "MiniApp",
+    "field_dot",
     "quantize_mantissa",
     "serialize_state",
     "deserialize_state",
@@ -30,6 +31,17 @@ __all__ = [
 ]
 
 _MAGIC = b"RPST"  # "repro state"
+
+
+def field_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two real 3-D fields, summed on the calling thread.
+
+    ``np.einsum`` (default ``optimize=False``) runs its own loop, never
+    BLAS: ``np.vdot`` would hand each CG inner product to OpenBLAS's
+    thread pool, which waits for a core the NDP drain holds and sums in
+    an order that depends on the pool's size.
+    """
+    return float(np.einsum("ijk,ijk->", a, b))
 
 
 def quantize_mantissa(a: np.ndarray, keep_bits: float) -> np.ndarray:

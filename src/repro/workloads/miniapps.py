@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import MiniApp
+from .base import MiniApp, field_dot
 
 __all__ = [
     "CoMDProxy",
@@ -171,7 +171,7 @@ class _StencilCG(MiniApp):
         self.x = np.zeros(shape)
         self.r = self.b - self._matvec(self.x)
         self.p = self.r.copy()
-        self._rs = float(np.vdot(self.r, self.r).real)
+        self._rs = field_dot(self.r, self.r)
 
     def _matvec(self, v: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(v)
@@ -191,12 +191,12 @@ class _StencilCG(MiniApp):
             self.b += 0.01 * self.rng.standard_normal(self.b.shape)
             self.r = self.b - self._matvec(self.x)
             self.p = self.r.copy()
-            self._rs = float(np.vdot(self.r, self.r).real)
+            self._rs = field_dot(self.r, self.r)
         ap = self._matvec(self.p)
-        alpha = self._rs / float(np.vdot(self.p, ap).real)
+        alpha = self._rs / field_dot(self.p, ap)
         self.x += alpha * self.p
         self.r -= alpha * ap
-        rs_new = float(np.vdot(self.r, self.r).real)
+        rs_new = field_dot(self.r, self.r)
         self.p = self.r + (rs_new / self._rs) * self.p
         self._rs = rs_new
 
@@ -209,7 +209,7 @@ class _StencilCG(MiniApp):
 
     def restore(self, state: dict[str, np.ndarray]) -> None:
         super().restore(state)
-        self._rs = float(np.vdot(self.r, self.r).real)
+        self._rs = field_dot(self.r, self.r)
 
 
 class HPCCGProxy(_StencilCG):

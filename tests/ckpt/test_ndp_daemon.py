@@ -1,5 +1,6 @@
 """The NDP drain daemon: background offload semantics."""
 
+import threading
 import time
 
 import pytest
@@ -137,6 +138,90 @@ class TestCodecFailure:
         assert local.locked("app") == []
         restored = recover("app", [io])
         assert (restored.ckpt_id, restored.payloads) == (1, {0: small_blob})
+
+
+def record_writers(io, monkeypatch):
+    """The thread of every ``io.stage_rank_frames`` call, in call order."""
+    threads = []
+    stage = io.stage_rank_frames
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return stage(*args, **kwargs)
+
+    monkeypatch.setattr(io, "stage_rank_frames", recording)
+    return threads
+
+
+class TestWriterThread:
+    """One writer thread serves every drain of a daemon until ``stop()``."""
+
+    def test_drains_share_one_writer_that_stop_ends(self, stores, small_blob, monkeypatch):
+        local, io = stores
+        threads = record_writers(io, monkeypatch)
+        d = NDPDrainDaemon("app", local, io, codec=GZIP, poll_interval=0.002).start()
+        try:
+            for cid in (1, 2, 3):
+                put(local, cid, {0: small_blob, 1: small_blob[::-1]})
+                assert d.wait_idle(10)
+        finally:
+            d.stop(timeout=10)
+        assert d.stats.drained_ids == [1, 2, 3]
+        assert len(threads) == 6
+        (writer,) = set(threads)
+        assert writer.name.startswith("ndp-write")
+        assert not writer.is_alive()
+
+    def test_stop_ends_the_writer_of_a_daemon_never_started(self, stores, small_blob, monkeypatch):
+        local, io = stores
+        threads = record_writers(io, monkeypatch)
+        put(local, 1, {0: small_blob})
+        d = NDPDrainDaemon("app", local, io)
+        d._drain_one(1)
+        assert threads[0].is_alive()
+        d.stop()
+        assert not threads[0].is_alive()
+        assert io.committed("app") == [1]
+
+    def test_failed_later_rank_then_good_drain_on_the_same_writer(
+        self, stores, small_blob, monkeypatch
+    ):
+        # The codec fails on the 3rd block of rank 1 of ckpt 1, while
+        # rank 0's write may still run: both rank writes end before the
+        # staged ranks are dropped, and the next drain reuses the writer.
+        # Every wait is bounded, so a hang fails here instead of blocking.
+        local, io = stores
+        threads = record_writers(io, monkeypatch)
+        block = 4096
+        fail_at = -(-len(small_blob) // block) + 3
+        calls = []
+
+        def flaky(data):
+            calls.append(len(data))
+            if len(calls) == fail_at:
+                raise OSError("codec failed")
+            return GZIP.compress(data)
+
+        codec = Codec("gzip", 1, flaky, GZIP.decompress)
+        d = NDPDrainDaemon(
+            "app", local, io, codec=codec, block_size=block, poll_interval=0.002
+        ).start()
+        second = {0: small_blob[::-1], 1: small_blob}
+        try:
+            put(local, 1, {0: small_blob, 1: small_blob})
+            assert d.wait_idle(10)
+            assert d.stats.checkpoints_skipped == 1
+            assert io.committed("app") == []
+            assert not io._ckpt_dir("app", 1).exists()
+            put(local, 2, second)
+            assert d.wait_idle(10)
+        finally:
+            d.stop(timeout=10)
+        assert len(calls) > fail_at
+        assert d.stats.drained_ids == [2]
+        assert len(threads) == 4 and len(set(threads)) == 1
+        restored = recover("app", [io])
+        assert (restored.ckpt_id, restored.payloads) == (2, second)
 
 
 class TestBackpressure:

@@ -45,6 +45,15 @@ class TestSingleLevel:
         assert b.checkpoint_io == 0.0
         assert b.checkpoint_local > 0
 
+    def test_local_label_never_claims_compression(self, params):
+        # The local level stores checkpoints as written: a compression
+        # spec changes neither the label nor the efficiency.
+        res = model.predict("local-only", params, NDP_GZIP1)
+        assert res.config == "Local Only"
+        assert res.efficiency == model.single_level(params, level="local").efficiency
+        assert res.efficiency == pytest.approx(0.9079, abs=5e-5)
+        assert model.io_only(params, NDP_GZIP1).config == "I/O Only + compression(73%)"
+
     def test_unknown_level_rejected(self, params):
         with pytest.raises(ValueError):
             model.single_level(params, level="tape")

@@ -12,11 +12,13 @@ from repro.compression.codecs import make_codec
 from repro.core.breakdown import OverheadBreakdown
 from repro.core.configs import (
     NDP_GZIP1,
+    NO_COMPRESSION,
     CompressionSpec,
     CRParameters,
     paper_parameters,
 )
 from repro.core.model import multilevel_ndp
+from repro.core.strategy import TABLE
 from repro.obs.drift import (
     DriftReport,
     DriftRow,
@@ -25,6 +27,7 @@ from repro.obs.drift import (
     drain_drift,
     drain_rate_bound,
 )
+from repro.simulation import SimConfig, simulate
 
 
 class TestDriftRow:
@@ -177,6 +180,38 @@ class TestBlockedDrift:
         assert rows["blocked I/O s/push"].predicted == pytest.approx(
             PARAMS.io_commit_time(SPEC)
         )
+
+    def test_io_only_blocks_on_every_checkpoint(self):
+        params = CRParameters(checkpoint_size=50e6, io_bandwidth=25e6)
+        assert params.io_commit_time(NO_COMPRESSION) == pytest.approx(2.0)
+        m = RuntimeMetrics()
+        m.checkpoints = 4
+        m.blocked_seconds["io"] = 8.0
+        rep = blocked_drift(m, params, NO_COMPRESSION, mode="io-only")
+        rows = {r.metric: r for r in rep.rows}
+        assert rows["blocked I/O s (total)"].predicted == pytest.approx(8.0)
+        assert rows["blocked I/O s (total)"].deviation == pytest.approx(0.0)
+        assert rows["blocked local s/ckpt"].predicted == 0.0
+
+    @pytest.mark.parametrize("name", list(TABLE))
+    def test_counts_each_strategy_produces_give_zero_drift(self, name):
+        # The failure-free DES charges each entry's checkpoints to the
+        # levels its spec names; those counts and seconds, read as
+        # runtime metrics, must match the prediction row for row.
+        params = CRParameters(mtti=math.inf)
+        ratio = 3
+        res = simulate(SimConfig(
+            params=params, strategy=name, ratio=ratio, compression=SPEC,
+            work=7 * 150.0 + 33.0,
+        ))
+        m = RuntimeMetrics()
+        m.checkpoints = res.local_checkpoints if TABLE[name].local else res.io_checkpoints
+        for level in ("local", "io"):
+            m.blocked_seconds[level] = getattr(res.breakdown, f"checkpoint_{level}") * res.wall_time
+        rep = blocked_drift(m, params, SPEC, mode=name, io_every=ratio)
+        assert m.checkpoints > 0
+        for row in rep.rows:
+            assert row.deviation == pytest.approx(0.0, abs=1e-9), row
 
     def test_restore_row_only_when_restored(self):
         m = self._metrics()

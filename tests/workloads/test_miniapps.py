@@ -1,8 +1,14 @@
 """The seven mini-app proxy kernels: physics sanity, restore fidelity."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.workloads.base import deserialize_state
 from repro.workloads.miniapps import (
     APP_REGISTRY,
@@ -179,3 +185,35 @@ class TestPrecisionKnob:
         a = small("HPCCG", precision_bits=52.0)
         b = small("HPCCG", precision_bits=2.0)
         assert len(a.checkpoint_bytes()) == len(b.checkpoint_bytes())
+
+
+#: Runs HPCCG and miniFE at their default grids (large enough for
+#: OpenBLAS to split a dot product across threads) and prints each
+#: step's ``_rs`` in hex, then a digest of the final checkpoint bytes.
+_CG_TRAJECTORY = """
+import hashlib
+from repro.workloads.miniapps import make_app
+for name in ("HPCCG", "miniFE"):
+    app = make_app(name, seed=3)
+    for _ in range(20):
+        app.run(1)
+        print(name, float(app._rs).hex())
+    print(name, hashlib.sha256(app.checkpoint_bytes()).hexdigest())
+"""
+
+
+def test_cg_trajectory_does_not_depend_on_blas_threads():
+    # The CG inner products sum on the calling thread: the residual
+    # sequence and the checkpoint bytes cannot change with the size of
+    # a BLAS thread pool.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _CG_TRAJECTORY],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+            check=True, capture_output=True, text=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(outputs[0].splitlines()) == 42
+    assert outputs[0] == outputs[1]
