@@ -76,7 +76,8 @@ class DrainStats:
     #: ``(1 - factor)`` x the model's ``compress_rate``, which is
     #: ``bytes_in / compress.seconds``.
     compress: StageCounter = field(default_factory=StageCounter)
-    #: Time/bytes spent writing frames to the I/O store (writer thread).
+    #: Time/bytes spent writing frames to the I/O store (writer thread);
+    #: the writer's waits on the compressor are not counted.
     write: StageCounter = field(default_factory=StageCounter)
     #: Whole-checkpoint drain wall time, charged with *uncompressed*
     #: bytes — ``drain.bytes / drain.seconds`` is the measured end-to-end
@@ -420,18 +421,21 @@ class NDPDrainDaemon:
         delta_base: int | None,
     ):
         """Writer-thread body: drain the frame queue into the I/O store."""
+        waited = [0.0]
         t0 = time.perf_counter()
         out_header = self.io.stage_rank_frames(
             self.app_id,
             ckpt_id,
             rank,
-            _queued_frames(fifo),
+            _queued_frames(fifo, waited),
             position=position,
             uncompressed_size=uncompressed_size,
             codec=codec_name,
             delta_base=delta_base,
         )
-        self.stats.write.add(out_header.payload_size, time.perf_counter() - t0)
+        self.stats.write.add(
+            out_header.payload_size, time.perf_counter() - t0 - waited[0]
+        )
         return out_header
 
     def _delta_eligible(self, files: dict) -> bool:
@@ -454,10 +458,16 @@ class NDPDrainDaemon:
         self._high_water = max(self._high_water, ckpt_id)
 
 
-def _queued_frames(fifo: queue.Queue):
+def _queued_frames(fifo: queue.Queue, waited: list[float]):
     """The frames fed to ``fifo`` up to its ``None`` end mark; the abort
-    mark raises, so the store discards the partial rank file."""
-    for frame in iter(fifo.get, None):
+    mark raises, so the store discards the partial rank file.  Adds the
+    seconds blocked on ``fifo`` (waiting on the compressor) to ``waited``."""
+    while True:
+        t0 = time.perf_counter()
+        frame = fifo.get()
+        waited[0] += time.perf_counter() - t0
+        if frame is None:
+            return
         if frame is _ABORT:
             raise RuntimeError("compressor failed mid-rank; rank write aborted")
         yield frame

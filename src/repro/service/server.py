@@ -59,10 +59,9 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.flight import FlightRecorder, RequestRecord
 from ..obs.slo import SLOTarget, SLOTracker
-from ..simulation.batch import _t95
 from ..simulation.pool import MEMO_ENTRIES, ResultCache, config_key, run_simulations
 from ..simulation.simulator import SimConfig
-from ..simulation.stats import SimulationResult
+from ..simulation.stats import SimulationResult, cell_stats
 from .batcher import Batcher, StageRecord
 from .http import (
     CLIENT_CLOSED,
@@ -289,17 +288,13 @@ class ServiceServer:
     def _cell_payload(per_seed: Sequence[SimulationResult], detail: bool) -> dict:
         """One sweep cell's aggregates — shared by the buffered and the
         streaming path, so a streamed cell is byte-identical to its
-        buffered counterpart by construction."""
+        buffered counterpart by construction.  ``cell_stats`` makes the
+        mean and half-width the bits of the same ``simulate_grid`` cell."""
         effs = [r.efficiency for r in per_seed]
-        mean = sum(effs) / len(effs)
-        if len(effs) > 1:
-            var = sum((e - mean) ** 2 for e in effs) / (len(effs) - 1)
-            ci = _t95(len(effs) - 1) * (var**0.5) / (len(effs) ** 0.5)
-        else:
-            ci = float("inf")
+        mean, ci = cell_stats(effs)
         cell: dict[str, Any] = {
-            "mean_efficiency": mean,
-            "ci95": ci,
+            "mean_efficiency": float(mean),
+            "ci95": float(ci),
             "efficiencies": effs,
         }
         if detail:

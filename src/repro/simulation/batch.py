@@ -10,55 +10,26 @@ deserve confidence intervals.  This module provides
   seed, so the difference estimate cancels the dominant noise source and
   tight conclusions need far fewer runs (classic variance reduction).
 
-Both fan their per-seed runs out over the :mod:`repro.simulation.pool`
-runtime (``jobs`` workers, optional on-disk result cache).  Each seed's
-RNG streams derive from that seed alone via
-:class:`~repro.simulation.rng.StreamFactory`, so samples are bit-identical
-at every worker count.
+Both are one :func:`~repro.simulation.grid.simulate_grid` pass on their
+configs' own engines, summarised by the grid's
+:func:`~repro.simulation.stats.cell_stats`, so they fan out over the
+:mod:`repro.simulation.pool` runtime (``jobs`` workers, optional on-disk
+result cache) and are bit-identical at every worker count.
 
-Used by the validation machinery and the simulation-study example.
+Used by the simulation-study example and the pool benchmarks.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .pool import ChunkTiming, ResultCache, run_simulations
+from .grid import simulate_grid
+from .pool import ChunkTiming, ResultCache
 from .simulator import SimConfig, SimulationResult
+from .stats import cell_stats
 
 __all__ = ["MCResult", "PairedComparison", "mc_run", "compare_strategies"]
-
-#: two-sided 95% Student-t critical values by degrees of freedom.  Sparse
-#: above 20: :func:`_t95` uses the nearest lower entry inside the table's
-#: gaps and the normal 1.96 beyond dof 30.
-_T95 = {
-    1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365,
-    8: 2.306, 9: 2.262, 10: 2.228, 11: 2.201, 12: 2.179, 13: 2.160,
-    14: 2.145, 15: 2.131, 16: 2.120, 17: 2.110, 18: 2.101, 19: 2.093,
-    20: 2.086, 25: 2.060, 30: 2.042,
-}
-
-_T95_MAX_DOF = max(_T95)
-
-
-def _t95(dof: int) -> float:
-    """Two-sided 95% Student-t critical value for ``dof`` degrees of freedom.
-
-    Exact table entries where available; inside the table's gaps (e.g.
-    dof 21..24) the nearest *lower* tabulated value (conservative: its
-    critical value is larger); the normal-limit 1.96 beyond dof 30.
-    """
-    if dof <= 0:
-        return float("inf")
-    if dof in _T95:
-        return _T95[dof]
-    if dof > _T95_MAX_DOF:
-        return 1.96
-    return _T95[max(k for k in _T95 if k <= dof)]
 
 
 @dataclass(frozen=True)
@@ -95,7 +66,6 @@ def mc_run(
     chunk_size: int | None = None,
     progress: Callable[[int, int], None] | None = None,
     timings: list[ChunkTiming] | None = None,
-    engine: str | None = None,
 ) -> MCResult:
     """Run ``config`` once per seed; summarize efficiency.
 
@@ -105,37 +75,26 @@ def mc_run(
     no variance information, and an infinite half-width is the honest
     statement of that (any finite value would fabricate certainty).
 
-    ``jobs`` fans the seeds out over a worker pool (``None`` = one worker
-    per core); samples are bit-identical to the serial path at any worker
-    count, including both edge behaviors above.  ``cache`` is an optional
-    :class:`~repro.simulation.pool.ResultCache` consulted per seed;
-    ``progress``/``timings`` expose the pool's observability hooks.
-
-    ``engine`` overrides ``config.engine`` for the whole batch
-    (``"fast"`` runs each worker chunk as one vectorized
-    :mod:`~repro.simulation.fastpath` batch; ``"des"`` forces the
-    event-level oracle; ``None`` keeps whatever the config carries).
+    The runs are a one-cell :func:`~repro.simulation.grid.simulate_grid`
+    pass on ``config.engine``; ``mean``/``ci95`` are that cell's.  The
+    other arguments go to the grid's pool run (``jobs=None`` = one worker
+    per core).
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    if engine is not None:
-        config = replace(config, engine=engine)
-    results = run_simulations(
-        [replace(config, seed=s) for s in seeds],
+    g = simulate_grid(
+        config,
+        seeds,
+        engine=None,
         jobs=jobs,
         cache=cache,
         chunk_size=chunk_size,
         progress=progress,
         timings=timings,
     )
+    results = tuple(g.results)
     samples = tuple(r.efficiency for r in results)
-    arr = np.asarray(samples)
-    mean = float(arr.mean())
-    if len(samples) > 1:
-        ci = _t95(len(samples) - 1) * float(arr.std(ddof=1)) / math.sqrt(len(samples))
-    else:
-        ci = float("inf")
-    return MCResult(mean=mean, ci95=ci, samples=samples, results=results)
+    return MCResult(float(g.efficiency), float(g.ci95), samples, results)
 
 
 @dataclass(frozen=True)
@@ -172,7 +131,6 @@ def compare_strategies(
     jobs: int | None = 1,
     cache: ResultCache | None = None,
     progress: Callable[[int, int], None] | None = None,
-    engine: str | None = None,
 ) -> PairedComparison:
     """Paired comparison: same seed => same failure sequence for both.
 
@@ -182,28 +140,24 @@ def compare_strategies(
     difference CI is never worse (and often much tighter) than the
     unpaired difference's.
 
-    ``jobs``/``cache``/``progress`` are forwarded to the batch pool; the
-    2N runs (both configs, every seed) execute in one fan-out and the
-    per-seed pairing is reassembled afterwards, bit-identical to the
-    serial loop.  ``engine`` overrides both configs' engine choice (same
-    semantics as :func:`mc_run`); pairing is preserved because the fast
-    engine draws from the identical named RNG streams as the DES.
+    The 2N runs are one two-cell
+    :func:`~repro.simulation.grid.simulate_grid` pass on each config's
+    engine (pairing holds on both: the fast engine draws the DES's named
+    RNG streams); ``jobs``/``cache``/``progress`` go to its pool run.
     """
     if len(seeds) < 2:
         raise ValueError("a paired comparison needs at least 2 seeds")
-    if engine is not None:
-        config_a = replace(config_a, engine=engine)
-        config_b = replace(config_b, engine=engine)
-    metric = transform or (lambda r: r.efficiency)
-    configs = [replace(cfg, seed=s) for s in seeds for cfg in (config_a, config_b)]
-    results = run_simulations(configs, jobs=jobs, cache=cache, progress=progress)
-    a_vals = [metric(r) for r in results[0::2]]
-    b_vals = [metric(r) for r in results[1::2]]
-    d = np.asarray(b_vals) - np.asarray(a_vals)
-    ci = _t95(len(d) - 1) * float(d.std(ddof=1)) / math.sqrt(len(d))
+    g = simulate_grid(
+        [config_a, config_b],
+        seeds,
+        engine=None,
+        jobs=jobs,
+        cache=cache,
+        progress=progress,
+    )
+    vals = g.map(transform or (lambda r: r.efficiency))
+    (mean_a, mean_b), _ = cell_stats(vals)
+    mean_diff, ci_diff = cell_stats(vals[1] - vals[0])
     return PairedComparison(
-        mean_a=float(np.mean(a_vals)),
-        mean_b=float(np.mean(b_vals)),
-        mean_diff=float(d.mean()),
-        ci95_diff=ci,
+        float(mean_a), float(mean_b), float(mean_diff), float(ci_diff)
     )

@@ -25,15 +25,15 @@ streams.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .batch import _t95
 from .pool import ChunkTiming, ResultCache, run_simulations
 from .simulator import SimConfig, SimulationResult
+from .stats import cell_stats
 
 __all__ = ["GridResult", "simulate_grid"]
 
@@ -93,15 +93,17 @@ class GridResult:
 
     def map(self, fn: Callable[[SimulationResult], float]) -> np.ndarray:
         """Apply ``fn`` to every result: a float array ``shape + (seeds,)``."""
-        out = np.empty(self.results.shape, dtype=np.float64)
-        flat_out, flat_res = out.reshape(-1), self.results.reshape(-1)
-        for i, res in enumerate(flat_res):
-            flat_out[i] = fn(res)
-        return out
+        return _per_seed(self.results, fn)
 
     def mean_of(self, fn: Callable[[SimulationResult], float]) -> np.ndarray:
         """Per-cell mean of ``fn`` over the seed axis (shaped ``shape``)."""
-        return self.map(fn).mean(axis=-1)
+        return cell_stats(self.map(fn))[0]
+
+
+def _per_seed(results: np.ndarray, fn: Callable) -> np.ndarray:
+    """``fn`` of every result, as a float array shaped like ``results``."""
+    out = np.fromiter((fn(r) for r in results.flat), np.float64, count=results.size)
+    return out.reshape(results.shape)
 
 
 def simulate_grid(
@@ -151,24 +153,10 @@ def simulate_grid(
     res_arr[:] = results
     res_arr = res_arr.reshape(shape + (len(seeds),))
 
-    eff = np.fromiter(
-        (r.efficiency for r in results), dtype=np.float64, count=len(results)
-    ).reshape(shape + (len(seeds),))
-    mean = eff.mean(axis=-1)
-    if len(seeds) > 1:
-        ci = eff.std(axis=-1, ddof=1) * (_t95(len(seeds) - 1) / math.sqrt(len(seeds)))
-    else:
-        ci = np.full(shape, np.inf)
-    components = results[0].breakdown.component_names()
+    mean, ci = cell_stats(_per_seed(res_arr, attrgetter("efficiency")))
     breakdown = {
-        name: np.fromiter(
-            (getattr(r.breakdown, name) for r in results),
-            dtype=np.float64,
-            count=len(results),
-        )
-        .reshape(shape + (len(seeds),))
-        .mean(axis=-1)
-        for name in components
+        name: cell_stats(_per_seed(res_arr, attrgetter(f"breakdown.{name}")))[0]
+        for name in results[0].breakdown.component_names()
     }
     return GridResult(
         shape=shape,

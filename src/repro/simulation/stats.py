@@ -1,19 +1,25 @@
-"""Wall-time accounting for the C/R simulation.
+"""Wall-time accounting and seed-axis statistics for the C/R simulation.
 
 The simulator classifies every interval of simulated time into one of the
 paper's Section 6.2 components (compute / checkpoint / restore / rerun,
 each split by level) via :class:`TimeAccounting`, which converts to the
 same :class:`~repro.core.breakdown.OverheadBreakdown` the analytic model
 produces — making model-vs-simulation comparison a one-liner.
+
+:func:`cell_stats` is the one summary of a seed axis: grids, Monte-Carlo
+batches and the service's sweep cells agree bit for bit through it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from ..core.breakdown import OverheadBreakdown
 
-__all__ = ["TimeAccounting", "SimulationResult", "result_to_json"]
+__all__ = ["TimeAccounting", "SimulationResult", "cell_stats", "result_to_json"]
 
 _CATEGORIES = OverheadBreakdown.component_names()
 
@@ -110,3 +116,49 @@ def result_to_json(result: SimulationResult) -> dict:
     breakdown = result.breakdown
     out["breakdown"] = {name: getattr(breakdown, name) for name in _BREAKDOWN_FIELDS}
     return out
+
+
+#: two-sided 95% Student-t critical values by degrees of freedom.  Sparse
+#: above 20: :func:`_t95` uses the nearest lower entry inside the table's
+#: gaps and the normal 1.96 beyond dof 30.
+_T95 = {
+    1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365,
+    8: 2.306, 9: 2.262, 10: 2.228, 11: 2.201, 12: 2.179, 13: 2.160,
+    14: 2.145, 15: 2.131, 16: 2.120, 17: 2.110, 18: 2.101, 19: 2.093,
+    20: 2.086, 25: 2.060, 30: 2.042,
+}
+
+_T95_MAX_DOF = max(_T95)
+
+
+def _t95(dof: int) -> float:
+    """Two-sided 95% Student-t critical value for ``dof`` degrees of freedom.
+
+    Exact table entries where available; inside the table's gaps (e.g.
+    dof 21..24) the nearest *lower* tabulated value (conservative: its
+    critical value is larger); the normal-limit 1.96 beyond dof 30.
+    """
+    if dof <= 0:
+        return float("inf")
+    if dof in _T95:
+        return _T95[dof]
+    if dof > _T95_MAX_DOF:
+        return 1.96
+    return _T95[max(k for k in _T95 if k <= dof)]
+
+
+def cell_stats(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and 95% Student-t half-width over the last (seed) axis.
+
+    ``samples`` is shaped ``cells + (n_seeds,)``, both outputs ``cells``.
+    One seed gives an ``inf`` half-width (no variance information).  A
+    cell summarised alone has the bits of the same cell of a whole grid.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    n = samples.shape[-1]
+    mean = samples.mean(axis=-1)
+    if n > 1:
+        ci = samples.std(axis=-1, ddof=1) * (_t95(n - 1) / math.sqrt(n))
+    else:
+        ci = np.full(mean.shape, np.inf)
+    return mean, ci

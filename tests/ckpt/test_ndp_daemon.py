@@ -256,6 +256,27 @@ class TestBackpressure:
         assert stats.compress.bytes == stats.bytes_out
         assert stats.stalls == 0
 
+    def test_write_time_excludes_waits_on_the_compressor(self, stores, small_blob):
+        # A slow codec and an unthrottled store: the writer spends nearly
+        # all its time waiting for the next frame, and none of that is
+        # the store's write time.
+        local, io = stores
+
+        def slow(data):
+            time.sleep(0.02)
+            return GZIP.compress(data)
+
+        codec = Codec("gzip", 1, slow, GZIP.decompress)
+        put(local, 1, {0: small_blob})
+        with NDPDrainDaemon(
+            "app", local, io, codec=codec, block_size=8192, poll_interval=0.002
+        ) as d:
+            assert d.wait_idle(10)
+        stats = d.stats
+        assert stats.checkpoints_drained == 1
+        assert stats.compress.seconds >= 0.02 * (len(small_blob) // 8192)
+        assert stats.write.seconds < stats.compress.seconds / 4
+
 
 class TestPauseResume:
     def test_paused_daemon_does_not_drain(self, stores, small_blob):

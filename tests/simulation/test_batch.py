@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.configs import NDP_GZIP1, NO_COMPRESSION
 from repro.simulation import SimConfig, compare_strategies, mc_run
-from repro.simulation.batch import _t95
+from repro.simulation.stats import _t95
 
 
 def cfg(params, **kw):

@@ -45,8 +45,8 @@ from repro.simulation import (
     simulate_fast,
     unsupported_reason,
 )
-from repro.simulation.batch import _t95
 from repro.simulation.simulator import CRSimulation
+from repro.simulation.stats import cell_stats
 from repro.simulation.trace import TimelineRecorder
 
 #: Work targets deliberately avoid exact multiples of the 150 s interval:
@@ -223,13 +223,13 @@ class TestPairedDistribution:
 
         def check(name, f):
             d = np.array([f(a) - f(b) for a, b in zip(slow, fast)])
-            ci = _t95(len(d) - 1) * d.std(ddof=1) / math.sqrt(len(d))
+            mean, ci = cell_stats(d)
             # The 1e-12 floor absorbs last-ulp rounding on the exact
             # strategies, where the per-seed differences are ~1e-16 and
             # one-signed (different but equivalent operation order), so
             # the CI itself collapses to ~0.
-            assert abs(d.mean()) <= max(ci, 1e-12), (
-                f"{name}: paired mean diff {d.mean():+.3e} outside 95% CI "
+            assert abs(mean) <= max(ci, 1e-12), (
+                f"{name}: paired mean diff {mean:+.3e} outside 95% CI "
                 f"{ci:.3e} over {len(d)} seeds"
             )
 
@@ -547,16 +547,24 @@ class TestEngineWiring:
 
     def test_mc_run_engine_override(self, params):
         config = cfg(params, strategy="host", ratio=15)
-        fast = mc_run(config, seeds=range(6), engine="fast")
-        slow = mc_run(config, seeds=range(6), engine="des")
+        fast = mc_run(dataclasses.replace(config, engine="fast"), seeds=range(6))
+        slow = mc_run(dataclasses.replace(config, engine="des"), seeds=range(6))
         # host is exact: the override changes the engine, not the answer.
         assert fast.samples == pytest.approx(slow.samples, rel=1e-9)
 
     def test_compare_strategies_engine_override(self, params):
         a = cfg(params, strategy="host", ratio=15, compression=NDP_GZIP1)
         b = cfg(params, strategy="local-only")
-        fast = compare_strategies(a, b, seeds=range(4), engine="fast")
-        slow = compare_strategies(a, b, seeds=range(4), engine="des")
+        fast = compare_strategies(
+            dataclasses.replace(a, engine="fast"),
+            dataclasses.replace(b, engine="fast"),
+            seeds=range(4),
+        )
+        slow = compare_strategies(
+            dataclasses.replace(a, engine="des"),
+            dataclasses.replace(b, engine="des"),
+            seeds=range(4),
+        )
         assert fast.mean_diff == pytest.approx(slow.mean_diff, rel=1e-9)
 
 
