@@ -94,11 +94,14 @@ def write_context_file(path: Path | str, payload: bytes, header: ContextHeader) 
             f"header payload_size {header.payload_size} != payload length {len(payload)}"
         )
     head = json.dumps(asdict(header), separators=(",", ":")).encode("utf-8")
-    blob = _MAGIC + struct.pack("<HI", _VERSION, len(head)) + head + payload
+    prefix = _MAGIC + struct.pack("<HI", _VERSION, len(head)) + head
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(blob)
+    # Two writes: joining the payload onto the header would copy it.
+    with open(tmp, "wb") as fh:
+        fh.write(prefix)
+        fh.write(payload)
     tmp.replace(path)
-    return len(blob)
+    return len(prefix) + len(payload)
 
 
 def write_context_frames(

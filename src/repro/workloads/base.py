@@ -16,6 +16,7 @@ match each app's published gzip(1) compression factor.
 
 from __future__ import annotations
 
+import functools
 import struct
 from abc import ABC, abstractmethod
 
@@ -44,6 +45,27 @@ def field_dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ijk,ijk->", a, b))
 
 
+@functools.lru_cache(maxsize=8)
+def _mantissa_mask(n: int, keep_bits: float) -> np.ndarray:
+    """Read-only uint64 mask that keeps ``keep_bits`` of each of ``n`` elements.
+
+    Element ``i`` keeps ``k + 1`` bits when ``(i * 2654435761) % 2**32 <
+    f * 2**32`` (``keep_bits = k + f``), else ``k``: a deterministic,
+    shuffle-free stride.  Cached, so a checkpoint filter pays one
+    ``bitwise_and`` per array rather than rebuilding the pattern.
+    """
+    k = int(keep_bits)
+    frac = keep_bits - k
+    mask_lo = np.uint64(0xFFFFFFFFFFFFFFFF) << np.uint64(52 - k)
+    if frac > 0 and k < 52:
+        mask_hi = np.uint64(0xFFFFFFFFFFFFFFFF) << np.uint64(52 - (k + 1))
+        extra = (np.arange(n) * 2654435761 % 2**32) < frac * 2**32
+        mask = np.where(extra, mask_hi, mask_lo)
+        mask.flags.writeable = False
+        return mask
+    return np.broadcast_to(mask_lo, (n,))
+
+
 def quantize_mantissa(a: np.ndarray, keep_bits: float) -> np.ndarray:
     """Zero the low mantissa bits of a float64 array, keeping ``keep_bits``.
 
@@ -51,25 +73,16 @@ def quantize_mantissa(a: np.ndarray, keep_bits: float) -> np.ndarray:
     ``f`` of elements (deterministically, by index stride) keeps ``k+1``
     bits and the rest keep ``k``.  This makes compressibility a continuous,
     monotone function of the knob, which the calibration bisection needs.
+
+    The mask is cached per ``(a.size, keep_bits)``, so a call is one
+    GIL-releasing ``np.bitwise_and`` into a new C-contiguous array
+    (docs/RUNTIME.md, "Host interference").
     """
     if a.dtype != np.float64:
         raise TypeError(f"quantize_mantissa expects float64, got {a.dtype}")
     if not 0.0 <= keep_bits <= 52.0:
         raise ValueError(f"keep_bits must be in [0, 52]: {keep_bits}")
-    k = int(keep_bits)
-    frac = keep_bits - k
-    bits = a.ravel().view(np.uint64).copy()
-    mask_lo = np.uint64(0xFFFFFFFFFFFFFFFF) << np.uint64(52 - k)
-    if frac > 0 and k < 52:
-        mask_hi = np.uint64(0xFFFFFFFFFFFFFFFF) << np.uint64(52 - (k + 1))
-        # Every element whose index falls below frac*N (in a strided
-        # shuffle-free pattern) keeps the extra bit.
-        idx = np.arange(bits.size)
-        extra = (idx * 2654435761 % 2**32) < frac * 2**32
-        bits[extra] &= mask_hi
-        bits[~extra] &= mask_lo
-    else:
-        bits &= mask_lo
+    bits = np.bitwise_and(a.reshape(-1).view(np.uint64), _mantissa_mask(a.size, keep_bits))
     return bits.view(np.float64).reshape(a.shape)
 
 
@@ -78,7 +91,8 @@ def serialize_state(state: dict[str, np.ndarray]) -> bytes:
 
     Simple self-describing format: magic, count, then per array a
     length-prefixed name, dtype string, shape, and raw C-order bytes.
-    This stands in for the BLCR process context file.
+    This stands in for the BLCR process context file.  Each array's bytes
+    are joined straight from its buffer, so the only copy is the join.
     """
     parts = [_MAGIC, struct.pack("<I", len(state))]
     for name, arr in state.items():
@@ -91,7 +105,7 @@ def serialize_state(state: dict[str, np.ndarray]) -> bytes:
         parts.append(dtype_b)
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}q", *arr.shape))
-        raw = arr.tobytes()
+        raw = arr.reshape(-1).view(np.uint8)
         parts.append(struct.pack("<Q", len(raw)))
         parts.append(raw)
     return b"".join(parts)
@@ -171,7 +185,12 @@ class MiniApp(ABC):
             self.steps_taken += 1
 
     def state(self) -> dict[str, np.ndarray]:
-        """Checkpointable state with the precision knob applied."""
+        """Checkpointable state with the precision knob applied.
+
+        Below full precision each float64 array is a new masked copy; every
+        other array (and every array at 52 bits) is the live buffer when it
+        is already C-contiguous, so use the result before the next step.
+        """
         out: dict[str, np.ndarray] = {}
         for name, arr in self._raw_state().items():
             if arr.dtype == np.float64 and self.precision_bits < 52.0:

@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import struct
+
 import numpy as np
 import pytest
 
 import repro
-from repro.workloads.base import deserialize_state
+from repro.workloads.base import deserialize_state, serialize_state
 from repro.workloads.miniapps import (
     APP_REGISTRY,
     CoMDProxy,
@@ -185,6 +187,74 @@ class TestPrecisionKnob:
         a = small("HPCCG", precision_bits=52.0)
         b = small("HPCCG", precision_bits=2.0)
         assert len(a.checkpoint_bytes()) == len(b.checkpoint_bytes())
+
+
+def reference_quantize(a, keep_bits):
+    """The original per-call mask construction of ``quantize_mantissa``."""
+    k = int(keep_bits)
+    frac = keep_bits - k
+    bits = a.ravel().view(np.uint64).copy()
+    mask_lo = np.uint64(0xFFFFFFFFFFFFFFFF) << np.uint64(52 - k)
+    if frac > 0 and k < 52:
+        mask_hi = np.uint64(0xFFFFFFFFFFFFFFFF) << np.uint64(52 - (k + 1))
+        extra = (np.arange(bits.size) * 2654435761 % 2**32) < frac * 2**32
+        bits[extra] &= mask_hi
+        bits[~extra] &= mask_lo
+    else:
+        bits &= mask_lo
+    return bits.view(np.float64).reshape(a.shape)
+
+
+def reference_layout(state):
+    """The original ``serialize_state``: ``tobytes`` per array, one join."""
+    parts = [b"RPST", struct.pack("<I", len(state))]
+    for name, arr in state.items():
+        arr = np.ascontiguousarray(arr)
+        name_b = name.encode("utf-8")
+        dtype_b = arr.dtype.str.encode("ascii")
+        raw = arr.tobytes()
+        parts += [
+            struct.pack("<H", len(name_b)), name_b,
+            struct.pack("<H", len(dtype_b)), dtype_b,
+            struct.pack("<B", arr.ndim), struct.pack(f"<{arr.ndim}q", *arr.shape),
+            struct.pack("<Q", len(raw)), raw,
+        ]
+    return b"".join(parts)
+
+
+class TestCheckpointLayout:
+    """Checkpoint bytes keep the original filter and layout, bit for bit."""
+
+    @pytest.mark.parametrize("precision", [52.0, 11.3, 6.0])
+    @pytest.mark.parametrize("name", sorted(APP_REGISTRY))
+    def test_checkpoint_bytes_match_reference(self, name, precision):
+        app = small(name, precision_bits=precision)
+        app.run(3)
+        state = {
+            k: reference_quantize(v, precision)
+            if v.dtype == np.float64 and precision < 52.0 else v
+            for k, v in app._raw_state().items()
+        }
+        assert app.checkpoint_bytes() == reference_layout(state)
+
+    def test_serialize_state_edge_arrays(self, rng):
+        base = rng.standard_normal((6, 5))
+        state = {
+            "big_endian": base.astype(">f8"),
+            "big_endian_int": np.arange(7, dtype=">i4"),
+            "zero_d": np.array(2.5),
+            "empty": np.zeros((0, 3)),
+            "strided": base[::2, ::2],
+            "transposed": base.T,
+            "flags": np.array([True, False]),
+        }
+        blob = serialize_state(state)
+        assert blob == reference_layout(state)
+        back = deserialize_state(blob)
+        assert list(back) == list(state)
+        for k, v in state.items():
+            assert back[k].dtype == v.dtype
+            assert np.array_equal(back[k].reshape(-1), v.reshape(-1))
 
 
 #: Runs HPCCG and miniFE at their default grids (large enough for
