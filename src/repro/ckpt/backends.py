@@ -159,8 +159,7 @@ class DirectoryStore:
             if ckpt_id not in manifest["committed"]:
                 manifest["committed"].append(ckpt_id)
                 manifest["committed"].sort()
-            self._write_manifest(app_id, manifest)
-            self._post_commit(app_id)
+            self._publish(app_id, manifest)
 
     def read_checkpoint(
         self, app_id: str, ckpt_id: int, verify: bool = True
@@ -281,8 +280,25 @@ class DirectoryStore:
     def _on_chunk(self, nbytes: int) -> None:
         """Per-chunk write hook (bandwidth accounting/throttling lives here)."""
 
-    def _post_commit(self, app_id: str) -> None:
-        """Post-commit hook (retention policy lives here)."""
+    def _evict(self, manifest: dict) -> list[int]:
+        """Retention policy: drop victims from ``manifest``, return them."""
+        return []
+
+    def _publish(self, app_id: str, manifest: dict, changed: bool = True) -> None:
+        """Apply retention to ``manifest`` and write it once, then delete
+        the victims.  The manifest lands before any victim's directory
+        goes, so it never lists a deleted checkpoint.  ``changed=False``
+        skips the write when retention evicts nothing.
+        """
+        victims = self._evict(manifest)
+        if changed or victims:
+            self._write_manifest(app_id, manifest)
+        self._post_commit(app_id, victims)
+
+    def _post_commit(self, app_id: str, victims: list[int]) -> None:
+        """Delete the directories of checkpoints the manifest dropped."""
+        for victim in victims:
+            shutil.rmtree(self._ckpt_dir(app_id, victim), ignore_errors=True)
 
 
 class LocalStore(DirectoryStore):
@@ -315,18 +331,17 @@ class LocalStore(DirectoryStore):
         """Release a drain lock (the checkpoint becomes evictable)."""
         with self._lock:
             manifest = self._read_manifest(app_id)
-            if ckpt_id in manifest["locked"]:
+            released = ckpt_id in manifest["locked"]
+            if released:
                 manifest["locked"].remove(ckpt_id)
-                self._write_manifest(app_id, manifest)
-            self._post_commit(app_id)
+            self._publish(app_id, manifest, changed=released)
 
     def locked(self, app_id: str) -> list[int]:
         """Currently drain-locked checkpoint ids."""
         with self._lock:
             return list(self._read_manifest(app_id)["locked"])
 
-    def _post_commit(self, app_id: str) -> None:
-        manifest = self._read_manifest(app_id)
+    def _evict(self, manifest: dict) -> list[int]:
         committed = manifest["committed"]
         locked = set(manifest["locked"])
         # Evict oldest unlocked first, but never the newest checkpoint —
@@ -335,14 +350,10 @@ class LocalStore(DirectoryStore):
         # then, mirroring the NDP drain-lock semantics of Section 4.2.2).
         newest = committed[-1] if committed else None
         evictable = [c for c in committed if c not in locked and c != newest]
-        excess = len(committed) - self.capacity
-        for victim in evictable:
-            if excess <= 0:
-                break
+        victims = evictable[: max(0, len(committed) - self.capacity)]
+        for victim in victims:
             committed.remove(victim)
-            excess -= 1
-            self._write_manifest(app_id, manifest)
-            shutil.rmtree(self._ckpt_dir(app_id, victim), ignore_errors=True)
+        return victims
 
 
 class PartnerStore(DirectoryStore):
@@ -356,13 +367,11 @@ class PartnerStore(DirectoryStore):
         super().__init__(root)
         self.capacity = capacity
 
-    def _post_commit(self, app_id: str) -> None:
-        manifest = self._read_manifest(app_id)
+    def _evict(self, manifest: dict) -> list[int]:
         committed = manifest["committed"]
-        while len(committed) > self.capacity:
-            victim = committed.pop(0)
-            self._write_manifest(app_id, manifest)
-            shutil.rmtree(self._ckpt_dir(app_id, victim), ignore_errors=True)
+        victims = committed[: max(0, len(committed) - self.capacity)]
+        del committed[: len(victims)]
+        return victims
 
 
 class IOStore(DirectoryStore):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..workloads.base import deserialize_state, field_dot, serialize_state
+from ..workloads.miniapps import _neighbour_sum
 from .comm import Communicator
 
 __all__ = ["DistributedStencilCG"]
@@ -94,21 +95,15 @@ class DistributedStencilCG:
 
     def _matvec_global(self, v: np.ndarray) -> np.ndarray:
         """Reference single-domain operator (used only for RHS setup)."""
-        acc = np.zeros_like(v)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    if dx == dy == dz == 0:
-                        continue
-                    acc += np.roll(np.roll(np.roll(v, dx, 0), dy, 1), dz, 2)
+        acc = _neighbour_sum(np.pad(v, 1, mode="wrap"))
         return self.diag_weight * v - self.offdiag_weight * acc / 26.0
 
     def matvec(self, slabs: list[np.ndarray]) -> list[np.ndarray]:
         """Distributed operator application with one halo exchange.
 
-        Axis-0 neighbour planes come from the exchange; axis-1/2 shifts
-        are rank-local rolls.  Accumulation order matches the global
-        operator term for term, so results are bitwise identical.
+        Axis-0 neighbour planes come from the exchange; axes 1 and 2 wrap
+        within the rank.  The neighbour sum is the global operator's, term
+        for term, so results are bitwise identical.
         """
         lower, upper = self.comm.exchange_halos(slabs)
         out: list[np.ndarray] = []
@@ -117,16 +112,7 @@ class DistributedStencilCG:
             ext = np.concatenate(
                 (lower[r][None, ...], local, upper[r][None, ...]), axis=0
             )
-            acc = np.zeros_like(local)
-            for dx in (-1, 0, 1):
-                # np.roll(v, dx, 0)[i] == v[i - dx]; with the halo at
-                # index 0, plane i of the shifted field is ext[1 + i - dx].
-                shifted = ext[1 - dx : 1 - dx + self.planes]
-                for dy in (-1, 0, 1):
-                    for dz in (-1, 0, 1):
-                        if dx == dy == dz == 0:
-                            continue
-                        acc += np.roll(np.roll(shifted, dy, 1), dz, 2)
+            acc = _neighbour_sum(np.pad(ext, ((0, 0), (1, 1), (1, 1)), mode="wrap"))
             out.append(self.diag_weight * local - self.offdiag_weight * acc / 26.0)
         return out
 

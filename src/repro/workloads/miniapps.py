@@ -140,6 +140,35 @@ class MiniMDProxy(_LennardJonesMD):
         return state
 
 
+def _neighbour_sum(vp: np.ndarray) -> np.ndarray:
+    """Sum of the 26 neighbours of every interior cell of ``vp``.
+
+    ``vp`` is a 3-D field with a one-cell border on each axis (a periodic
+    wrap, or a halo plane).  The terms are added in the order of
+    ``np.roll(np.roll(np.roll(v, dx, 0), dy, 1), dz, 2)`` over ``dx, dy,
+    dz`` in ``(-1, 0, 1)``, so every sum that is not NaN is bit-identical
+    to that roll loop's, with no copy per term: each term is one contiguous
+    slice of the flattened ``vp``, shifted by the term's offset.  The
+    result is a view of the interior; the other slots of its buffer hold
+    sums across the border that nobody reads.
+    """
+    n0, n1, n2 = vp.shape
+    g0, g1, g2 = n0 - 2, n1 - 2, n2 - 2
+    flat = vp.reshape(-1)
+    acc = np.zeros(g0 * n1 * n2, dtype=vp.dtype)
+    # Interior cell (i, j, k) is acc[i*n1*n2 + j*n2 + k]; stop after the last.
+    used = acc[: (g0 - 1) * n1 * n2 + (g1 - 1) * n2 + g2]
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            for dz in (-1, 0, 1):
+                if dx == dy == dz == 0:
+                    continue
+                # np.roll(v, d, axis)[i] == v[i - d] == vp[1 + i - d].
+                start = (1 - dx) * n1 * n2 + (1 - dy) * n2 + (1 - dz)
+                used += flat[start : start + used.size]
+    return acc.reshape(g0, n1, n2)[:, :g1, :g2]
+
+
 class _StencilCG(MiniApp):
     """Conjugate gradient on a 27-point periodic stencil (HPCCG family).
 
@@ -174,13 +203,7 @@ class _StencilCG(MiniApp):
         self._rs = field_dot(self.r, self.r)
 
     def _matvec(self, v: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(v)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    if dx == dy == dz == 0:
-                        continue
-                    acc += np.roll(np.roll(np.roll(v, dx, 0), dy, 1), dz, 2)
+        acc = _neighbour_sum(np.pad(v, 1, mode="wrap"))
         return self.diag_weight * v - self.offdiag_weight * acc / 26.0
 
     def step(self) -> None:

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.ckpt import backends
 from repro.ckpt.backends import IOStore, LocalStore, PartnerStore
 from repro.ckpt.format import make_header
 
@@ -116,6 +117,96 @@ class TestPartnerRetention:
         for cid in (1, 2, 3):
             store.write_checkpoint("app", cid, files(data, cid))
         assert store.committed("app") == [2, 3]
+
+
+def record_manifest_io(store, monkeypatch):
+    """Log each manifest write (with the ids it commits) and each deleted
+    checkpoint directory of ``store``, in call order."""
+    events = []
+    write = store._write_manifest
+
+    def spy_write(app_id, manifest):
+        events.append(("write", list(manifest["committed"])))
+        write(app_id, manifest)
+
+    def spy_rmtree(path, **kwargs):
+        events.append(("rmtree", path.name))
+        rmtree(path, **kwargs)
+
+    rmtree = backends.shutil.rmtree
+    monkeypatch.setattr(store, "_write_manifest", spy_write)
+    monkeypatch.setattr(backends.shutil, "rmtree", spy_rmtree)
+    return events
+
+
+class TestOneManifestWrite:
+    """A commit or unlock writes the manifest once, then deletes its victims."""
+
+    def test_local_commit_past_capacity(self, tmp_path, data, monkeypatch):
+        store = LocalStore(tmp_path, capacity=2)
+        events = record_manifest_io(store, monkeypatch)
+        for cid in (1, 2, 3, 4):
+            store.write_checkpoint("app", cid, files(data, cid))
+        assert events == [
+            ("write", [1]),
+            ("write", [1, 2]),
+            ("write", [2, 3]), ("rmtree", "ckpt_00000001"),
+            ("write", [3, 4]), ("rmtree", "ckpt_00000002"),
+        ]
+        assert store.committed("app") == [3, 4]
+        assert sorted(p.name for p in (tmp_path / "app").glob("ckpt_*")) == [
+            "ckpt_00000003", "ckpt_00000004",
+        ]
+
+    def test_unlock_releases_deferred_eviction(self, tmp_path, data, monkeypatch):
+        store = LocalStore(tmp_path, capacity=1)
+        store.write_checkpoint("app", 1, files(data, 1))
+        store.lock("app", 1)
+        store.write_checkpoint("app", 2, files(data, 2))
+        store.lock("app", 2)
+        store.write_checkpoint("app", 3, files(data, 3))
+        assert store.committed("app") == [1, 2, 3]
+        events = record_manifest_io(store, monkeypatch)
+        store.unlock("app", 1)
+        assert events == [("write", [2, 3]), ("rmtree", "ckpt_00000001")]
+        events.clear()
+        store.unlock("app", 2)
+        assert events == [("write", [3]), ("rmtree", "ckpt_00000002")]
+        assert store.committed("app") == [3]
+        assert store.locked("app") == []
+
+    def test_three_victims_one_write(self, tmp_path, data, monkeypatch):
+        roomy = LocalStore(tmp_path, capacity=3)
+        for cid in (1, 2, 3):
+            roomy.write_checkpoint("app", cid, files(data, cid))
+        store = LocalStore(tmp_path, capacity=1)
+        events = record_manifest_io(store, monkeypatch)
+        store.write_checkpoint("app", 4, files(data, 4))
+        assert events == [
+            ("write", [4]),
+            ("rmtree", "ckpt_00000001"),
+            ("rmtree", "ckpt_00000002"),
+            ("rmtree", "ckpt_00000003"),
+        ]
+        assert store.committed("app") == [4]
+
+    def test_unlock_of_unlocked_id_writes_nothing(self, tmp_path, data, monkeypatch):
+        store = LocalStore(tmp_path, capacity=2)
+        store.write_checkpoint("app", 1, files(data, 1))
+        events = record_manifest_io(store, monkeypatch)
+        store.unlock("app", 1)
+        assert events == []
+
+    def test_partner_commit_past_capacity(self, tmp_path, data, monkeypatch):
+        store = PartnerStore(tmp_path, capacity=1)
+        events = record_manifest_io(store, monkeypatch)
+        for cid in (1, 2, 3):
+            store.write_checkpoint("app", cid, files(data, cid))
+        assert events == [
+            ("write", [1]),
+            ("write", [2]), ("rmtree", "ckpt_00000001"),
+            ("write", [3]), ("rmtree", "ckpt_00000002"),
+        ]
 
 
 class TestIOStore:

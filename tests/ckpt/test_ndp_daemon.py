@@ -126,7 +126,7 @@ class TestCodecFailure:
         local, io = stores
         put(local, 1, {0: small_blob})
 
-        def broken(app_id):
+        def broken(app_id, victims):
             raise OSError("retention failed")
 
         monkeypatch.setattr(io, "_post_commit", broken)

@@ -11,6 +11,18 @@ class _SingleCG(_StencilCG):
     name = "reference"
 
 
+def reference_matvec(v, diag_weight, offdiag_weight):
+    """The stencil as 26 ``np.roll`` neighbour copies, summed in order."""
+    acc = np.zeros_like(v)
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            for dz in (-1, 0, 1):
+                if dx == dy == dz == 0:
+                    continue
+                acc += np.roll(np.roll(np.roll(v, dx, 0), dy, 1), dz, 2)
+    return diag_weight * v - offdiag_weight * acc / 26.0
+
+
 class TestDecomposition:
     def test_ranks_must_divide_grid(self):
         with pytest.raises(ValueError):
@@ -34,6 +46,14 @@ class TestMatvec:
         full = rng.standard_normal((12, 12, 12))
         dist = d.assemble(d.matvec(d._split(full)))
         assert np.array_equal(dist, d._matvec_global(full))
+
+    @pytest.mark.parametrize("ranks", [1, 2, 3, 6])
+    def test_bitwise_identical_to_roll_reference(self, ranks, rng):
+        d = DistributedStencilCG(grid=12, ranks=ranks, seed=0, diag_weight=27.5)
+        full = rng.standard_normal((12, 12, 12))
+        want = reference_matvec(full, d.diag_weight, d.offdiag_weight)
+        assert np.array_equal(d.assemble(d.matvec(d._split(full))), want)
+        assert np.array_equal(d._matvec_global(full), want)
 
     def test_exchange_traffic_per_matvec(self):
         d = DistributedStencilCG(grid=12, ranks=4, seed=0)

@@ -1,5 +1,6 @@
 """The seven mini-app proxy kernels: physics sanity, restore fidelity."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,15 +10,22 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import repro
+from repro.workloads import calibrated_app
 from repro.workloads.base import deserialize_state, serialize_state
 from repro.workloads.miniapps import (
     APP_REGISTRY,
     CoMDProxy,
     HPCCGProxy,
     MiniAeroProxy,
+    MiniFEProxy,
     MiniSMAC2DProxy,
+    PHPCCGProxy,
+    _StencilCG,
     make_app,
 )
 
@@ -255,6 +263,106 @@ class TestCheckpointLayout:
         for k, v in state.items():
             assert back[k].dtype == v.dtype
             assert np.array_equal(back[k].reshape(-1), v.reshape(-1))
+
+
+def reference_matvec(v, diag_weight, offdiag_weight=1.0):
+    """The original ``_StencilCG._matvec``: 26 ``np.roll`` neighbour copies."""
+    acc = np.zeros_like(v)
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            for dz in (-1, 0, 1):
+                if dx == dy == dz == 0:
+                    continue
+                acc += np.roll(np.roll(np.roll(v, dx, 0), dy, 1), dz, 2)
+    return diag_weight * v - offdiag_weight * acc / 26.0
+
+
+#: Finite doubles plus the values whose bits a reordered or copied sum
+#: could change: signed zeros, NaN, infinities and subnormals.
+STENCIL_VALUES = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from(
+        [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.5e-320, 2.2250738585072e-308]
+    ),
+)
+
+
+#: Every 3-D shape up to 9 per axis; 1- and 2-wide axes wrap onto themselves.
+STENCIL_SHAPES = hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=9)
+
+
+def stencil_fields(shape=STENCIL_SHAPES):
+    return hnp.arrays(np.float64, shape, elements=STENCIL_VALUES)
+
+
+def assert_same_bits(got, want):
+    """Bit-equal ``uint64`` views, except that a NaN matches any NaN.
+
+    Which operand's sign and payload ``a + b`` keeps when both are NaN
+    differs between numpy's SIMD body and its scalar tail:
+    ``np.full(19, nan) + np.full(19, -nan)`` keeps the first sign in 16
+    lanes and the second in 3.  So the roll loop itself gives such a sum
+    a sign that depends on the array's size, not on the stencil.
+    """
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
+
+
+class TestStencilMatchesRollReference:
+    """The padded-view stencil gives the roll loop's bits on any field."""
+
+    @given(v=stencil_fields(), proxy=st.sampled_from([HPCCGProxy, PHPCCGProxy]))
+    @example(v=np.random.default_rng(1).standard_normal((1, 1, 1)), proxy=HPCCGProxy)
+    @example(v=np.random.default_rng(2).standard_normal((2, 2, 2)), proxy=HPCCGProxy)
+    @example(v=np.random.default_rng(3).standard_normal((1, 2, 9)), proxy=PHPCCGProxy)
+    @example(v=np.random.default_rng(4).standard_normal((9, 1, 2)), proxy=PHPCCGProxy)
+    @example(v=np.random.default_rng(5).standard_normal((9, 8, 7)), proxy=HPCCGProxy)
+    @settings(max_examples=150, deadline=None)
+    def test_matvec_bits(self, v, proxy):
+        app = proxy(grid=2)
+        with np.errstate(all="ignore"):
+            got = app._matvec(v)
+            want = reference_matvec(v, proxy.diag_weight)
+        assert_same_bits(got, want)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_minife_coeff_product_bits(self, data):
+        v = data.draw(stencil_fields())
+        coeff = data.draw(stencil_fields(v.shape))
+        app = MiniFEProxy(grid=2)
+        app.coeff = coeff
+        with np.errstate(all="ignore"):
+            got = app._matvec(v)
+            want = coeff * reference_matvec(v, MiniFEProxy.diag_weight)
+        assert_same_bits(got, want)
+
+
+def cg_trajectory(name, steps=10):
+    """``(sha256 of checkpoint_bytes(), _rs)`` after each CG step."""
+    app = calibrated_app(name, seed=5)
+    out = []
+    for _ in range(steps):
+        app.step()
+        out.append((hashlib.sha256(app.checkpoint_bytes()).hexdigest(), app._rs))
+    return out
+
+
+@pytest.mark.parametrize("name", ["HPCCG", "pHPCCG", "miniFE"])
+def test_cg_trajectory_matches_roll_reference(name, monkeypatch):
+    # Calibrated precision, default grid: the checkpoints the paper's
+    # tables and the C/R runtime see are the roll loop's, step for step.
+    got = cg_trajectory(name)
+    with monkeypatch.context() as m:
+        m.setattr(
+            _StencilCG,
+            "_matvec",
+            lambda self, v: reference_matvec(v, self.diag_weight, self.offdiag_weight),
+        )
+        want = cg_trajectory(name)
+    assert got == want
 
 
 #: Runs HPCCG and miniFE at their default grids (large enough for
