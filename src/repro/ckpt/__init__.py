@@ -16,7 +16,6 @@ from .format import (
     read_context_file,
     write_context_file,
 )
-from .async_local import AsyncLocalWriter, AsyncWriteStats
 from .metrics import RuntimeMetrics
 from .multilevel import MultilevelCheckpointer
 from .ndp_daemon import DrainStats, NDPDrainDaemon
@@ -44,8 +43,6 @@ __all__ = [
     "DrainStats",
     "MultilevelCheckpointer",
     "RuntimeMetrics",
-    "AsyncLocalWriter",
-    "AsyncWriteStats",
     "OnlineMTTIEstimator",
     "DalyIntervalAdvisor",
     "AdaptiveScheduler",

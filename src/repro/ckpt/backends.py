@@ -164,29 +164,22 @@ class DirectoryStore:
     def read_checkpoint(
         self, app_id: str, ckpt_id: int, verify: bool = True
     ) -> dict[int, tuple[ContextHeader, bytes]]:
-        """Load all rank files of a committed checkpoint."""
-        with self._lock:
-            if ckpt_id not in self.committed(app_id):
-                raise FileNotFoundError(
-                    f"checkpoint {ckpt_id} of {app_id!r} not committed on {self.level}"
-                )
-            cdir = self._ckpt_dir(app_id, ckpt_id)
-            out: dict[int, tuple[ContextHeader, bytes]] = {}
-            for path in sorted(cdir.glob("rank_*.ctx")):
-                header, payload = read_context_file(path, verify=verify)
-                out[header.rank] = (header, payload)
-            if not out:
-                raise FileNotFoundError(
-                    f"checkpoint {ckpt_id} of {app_id!r} is committed but has "
-                    f"no rank files on {self.level} (directory lost?)"
-                )
-            return out
+        """Load all rank files of a committed checkpoint, keyed by rank.
+
+        Reads through :meth:`iter_rank_files`, so the files are read
+        outside the store lock: a commit on this store never waits for
+        the read (the NDP drain reads every checkpoint it ships this way).
+        """
+        return {
+            header.rank: (header, payload)
+            for header, payload in self.iter_rank_files(app_id, ckpt_id, verify)
+        }
 
     def rank_files(self, app_id: str, ckpt_id: int) -> list[Path]:
         """Paths of a committed checkpoint's rank files, rank order.
 
-        Raises the same :class:`FileNotFoundError` as
-        :meth:`read_checkpoint` for uncommitted or file-less checkpoints.
+        Raises :class:`FileNotFoundError` for uncommitted or file-less
+        checkpoints.
         """
         with self._lock:
             if ckpt_id not in self.committed(app_id):
@@ -206,24 +199,24 @@ class DirectoryStore:
     ) -> tuple[ContextHeader, bytes]:
         """Load a single rank file of a committed checkpoint.
 
-        Restore uses this (via :meth:`iter_rank_files`) so at most one
-        rank's payload is resident while a checkpoint reconstructs.
+        Restore uses this for a delta rank's base, so at most one rank's
+        payload is resident while a checkpoint reconstructs.  Like
+        :meth:`iter_rank_files`, it reads outside the store lock.
         """
-        with self._lock:
-            if ckpt_id not in self.committed(app_id):
-                raise FileNotFoundError(
-                    f"checkpoint {ckpt_id} of {app_id!r} not committed on {self.level}"
-                )
-            path = self._ckpt_dir(app_id, ckpt_id) / f"rank_{rank:05d}.ctx"
-            return read_context_file(path, verify=verify)
+        if ckpt_id not in self.committed(app_id):
+            raise FileNotFoundError(
+                f"checkpoint {ckpt_id} of {app_id!r} not committed on {self.level}"
+            )
+        path = self._ckpt_dir(app_id, ckpt_id) / f"rank_{rank:05d}.ctx"
+        return read_context_file(path, verify=verify)
 
     def iter_rank_files(self, app_id: str, ckpt_id: int, verify: bool = True):
         """Yield ``(header, payload)`` per rank of a committed checkpoint.
 
-        Validates the commit eagerly (same errors as
-        :meth:`read_checkpoint`) but reads lazily, one file per step and
-        outside the store lock, so a slow consumer never serializes
-        concurrent store traffic and never holds more than one rank file.
+        Validates the commit eagerly (:meth:`rank_files`' errors) but
+        reads lazily, one file per step and outside the store lock, so a
+        slow consumer never serializes concurrent store traffic and never
+        holds more than one rank file.
         """
         paths = self.rank_files(app_id, ckpt_id)
 

@@ -4,9 +4,10 @@
 path over real files:
 
 * every :meth:`checkpoint` commits per-rank context files to the local
-  store (pausing the NDP drain for the duration — the host gets all NVM
-  bandwidth), optionally mirroring every ``partner_every``-th checkpoint
-  to a partner store;
+  store and blocks until they land (the paper's ``delta_L``), pausing the
+  NDP drain for the duration — the host gets all NVM bandwidth —
+  optionally mirroring every ``partner_every``-th checkpoint to a partner
+  store;
 * the I/O level is written as ``mode``'s entry in
   :data:`~repro.core.strategy.TABLE` says: drained off the critical path
   by the background :class:`~repro.ckpt.ndp_daemon.NDPDrainDaemon`, or
@@ -16,7 +17,9 @@ path over real files:
   :meth:`~repro.ckpt.backends.DirectoryStore.stage_rank_frames`, so the
   I/O level holds one format whichever mode wrote it;
 * :meth:`restart` runs the local -> partner -> I/O recovery protocol,
-  pausing the drain while reading from I/O.
+  pausing the drain while reading from I/O;
+* :meth:`close` flushes the drain and stops it, returning whether the
+  flush finished.
 
 Usage::
 
@@ -37,7 +40,6 @@ from ..compression.codecs import Codec
 from ..core.strategy import TABLE
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from .async_local import AsyncLocalWriter
 from .backends import IOStore, LocalStore, PartnerStore
 from .format import ContextHeader, make_header
 from .metrics import RuntimeMetrics
@@ -77,13 +79,6 @@ class MultilevelCheckpointer:
         Modes that drain only: store ``delta_every - 1`` of every ``delta_every``
         drains as XOR-deltas against the last full drain (0 disables; see
         :class:`~repro.ckpt.ndp_daemon.NDPDrainDaemon`).
-    local_async:
-        Commit local checkpoints on a background writer thread
-        (double-buffered, one in flight): :meth:`checkpoint` returns as
-        soon as the payloads are staged, hiding ``delta_L`` too.  A crash
-        before the background commit lands falls back to the previous
-        checkpoint — the same guarantee a crash mid-blocking-write gives.
-        Requires a mode that drains.
     """
 
     def __init__(
@@ -98,7 +93,6 @@ class MultilevelCheckpointer:
         partner_every: int = 1,
         block_size: int = DEFAULT_BLOCK_SIZE,
         delta_every: int = 0,
-        local_async: bool = False,
     ):
         spec = TABLE.get(mode)
         if spec is None or not (spec.local and spec.has_io):
@@ -108,11 +102,9 @@ class MultilevelCheckpointer:
             raise ValueError("io_every must be >= 1")
         if partner_every < 0:
             raise ValueError("partner_every must be >= 0")
-        if (delta_every or local_async) and not spec.drains:
+        if delta_every and not spec.drains:
             drainers = [n for n, s in TABLE.items() if s.drains]
-            raise ValueError(
-                f"delta_every and local_async need a mode that drains {drainers}: {mode!r}"
-            )
+            raise ValueError(f"delta_every needs a mode that drains {drainers}: {mode!r}")
         self.app_id = app_id
         self.local = local
         self.io = io
@@ -128,7 +120,6 @@ class MultilevelCheckpointer:
         self._lock = threading.Lock()
         self._next_id = self._initial_id()
         self.daemon: NDPDrainDaemon | None = None
-        self._async_writer: AsyncLocalWriter | None = None
         if spec.drains:
             self.daemon = NDPDrainDaemon(
                 app_id,
@@ -138,13 +129,6 @@ class MultilevelCheckpointer:
                 block_size=block_size,
                 delta_every=delta_every,
             )
-            if local_async:
-                self._async_writer = AsyncLocalWriter(
-                    app_id,
-                    local,
-                    pre_commit=self.daemon.pause,
-                    post_commit=self.daemon.resume,
-                )
 
     def _initial_id(self) -> int:
         """Resume numbering after the newest checkpoint on any level."""
@@ -162,14 +146,16 @@ class MultilevelCheckpointer:
             self.daemon.start()
         return self
 
-    def close(self, flush: bool = True, timeout: float = 60.0) -> None:
-        """Stop the daemon, optionally waiting for pending drains."""
-        if self._async_writer is not None:
-            self._async_writer.drain(timeout)
+    def close(self, flush: bool = True, timeout: float = 60.0) -> bool:
+        """Stop the daemon, with ``flush`` first waiting up to ``timeout``
+        for pending drains (:meth:`flush_to_io`).
+
+        Returns False when a requested flush did not finish, else True.
+        """
+        flushed = not flush or self.flush_to_io(timeout)
         if self.daemon is not None:
-            if flush:
-                self.daemon.wait_idle(timeout)
             self.daemon.stop()
+        return flushed
 
     def __enter__(self) -> "MultilevelCheckpointer":
         return self.start()
@@ -206,20 +192,14 @@ class MultilevelCheckpointer:
             bytes=nbytes,
             mode=self.mode,
         ):
-            if self._async_writer is not None:
-                # Background commit: stage and return.  The writer pauses the
-                # drain around the actual NVM write itself.
+            if self.daemon is not None:
+                self.daemon.pause()  # host takes all NVM bandwidth
+            try:
                 with self.metrics.timed("local"):
-                    self._async_writer.submit(ckpt_id, files)
-            else:
+                    self.local.write_checkpoint(self.app_id, ckpt_id, files)
+            finally:
                 if self.daemon is not None:
-                    self.daemon.pause()  # host takes all NVM bandwidth
-                try:
-                    with self.metrics.timed("local"):
-                        self.local.write_checkpoint(self.app_id, ckpt_id, files)
-                finally:
-                    if self.daemon is not None:
-                        self.daemon.resume()
+                    self.daemon.resume()
             self.metrics.checkpoints += 1
             self.metrics.bytes_local += nbytes
 
@@ -280,8 +260,6 @@ class MultilevelCheckpointer:
         if self.partner is not None:
             stores.append(self.partner)
         stores.append(self.io)
-        if self._async_writer is not None:
-            self._async_writer.drain()  # recovery must not race a commit
         if self.daemon is not None:
             self.daemon.pause()
         try:
@@ -299,8 +277,6 @@ class MultilevelCheckpointer:
 
     def flush_to_io(self, timeout: float = 60.0) -> bool:
         """Wait until the drain daemon has nothing left to push."""
-        if self._async_writer is not None and not self._async_writer.drain(timeout):
-            return False
         if self.daemon is None:
             return True
         return self.daemon.wait_idle(timeout)

@@ -46,6 +46,9 @@ from .stream import DEFAULT_BLOCK_SIZE, rank_frames
 
 __all__ = ["NDPDrainDaemon", "DrainStats"]
 
+#: Idle poll period, seconds, of the drain loop and of ``wait_idle``.
+POLL_INTERVAL = 0.005
+
 #: Queued in place of a frame when the compressor fails mid-rank: the
 #: writer raises instead of finalizing the rank file.
 _ABORT = object()
@@ -111,8 +114,6 @@ class NDPDrainDaemon:
         Optional compression codec; ``None`` drains uncompressed.
     block_size:
         Compression block size (Section 4.2.2's small-DMA blocks).
-    poll_interval:
-        Idle poll period, seconds.
     delta_every:
         The paper's future-work optimization: 0 disables (every drain is a
         full checkpoint); ``k > 0`` stores ``k-1`` drains out of every
@@ -134,7 +135,6 @@ class NDPDrainDaemon:
         io: IOStore,
         codec: Codec | None = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        poll_interval: float = 0.005,
         delta_every: int = 0,
         queue_depth: int = 8,
     ):
@@ -147,7 +147,6 @@ class NDPDrainDaemon:
         self.io = io
         self.codec = codec
         self.block_size = block_size
-        self.poll_interval = poll_interval
         self.delta_every = delta_every
         self.queue_depth = queue_depth
         self.stats = DrainStats()
@@ -214,16 +213,19 @@ class NDPDrainDaemon:
     def wait_idle(self, timeout: float = 60.0) -> bool:
         """Block until no drain is in progress and nothing is eligible.
 
-        Returns False on timeout.  Useful in tests and at application
-        shutdown ("flush the last checkpoint to I/O").
+        Returns False on timeout, and at once when a checkpoint is
+        eligible but the drain thread is not running (never started,
+        stopped or dead), since nothing would ever drain it.  Useful in
+        tests and at application shutdown ("flush the last checkpoint to
+        I/O").
         """
-        deadline = threading.Event()
-        end = _monotonic() + timeout
-        while _monotonic() < end:
-            if self._idle.is_set() and self._candidate() is None:
-                return True
-            deadline.wait(self.poll_interval)
-        return False
+        end = time.monotonic() + timeout
+        while not (self._idle.is_set() and self._candidate() is None):
+            thread = self._thread
+            if thread is None or not thread.is_alive() or time.monotonic() >= end:
+                return False
+            time.sleep(POLL_INTERVAL)
+        return True
 
     # -- internals ---------------------------------------------------------------
 
@@ -244,7 +246,7 @@ class NDPDrainDaemon:
                 return
             ckpt_id = self._candidate()
             if ckpt_id is None:
-                self._stop.wait(self.poll_interval)
+                self._stop.wait(POLL_INTERVAL)
                 continue
             self._idle.clear()
             try:
@@ -471,7 +473,3 @@ def _queued_frames(fifo: queue.Queue, waited: list[float]):
         if frame is _ABORT:
             raise RuntimeError("compressor failed mid-rank; rank write aborted")
         yield frame
-
-
-def _monotonic() -> float:
-    return time.monotonic()

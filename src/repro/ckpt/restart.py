@@ -65,17 +65,14 @@ class RecoveryResult:
     positions: dict[int, float]
 
 
-def recover(
-    app_id: str,
-    stores: list[DirectoryStore],
-    verify: bool = True,
-) -> RecoveryResult:
+def recover(app_id: str, stores: list[DirectoryStore]) -> RecoveryResult:
     """Restore the newest usable checkpoint, preferring earlier stores.
 
     ``stores`` is ordered fastest-first (local, partner, I/O).  The
     rollback point is the newest id committed on any store; each store
     holding that id is tried in priority order; on corruption the next
-    older id is designated, until no candidates remain.
+    older id is designated, until no candidates remain.  Every rank file
+    (and delta base) is CRC-verified as it is read.
     """
     if not stores:
         raise ValueError("need at least one store")
@@ -91,8 +88,8 @@ def recover(
                 if ckpt_id not in store.committed(app_id):
                     continue
                 try:
-                    files = store.iter_rank_files(app_id, ckpt_id, verify=verify)
-                    payloads, positions = _unpack(files, store, app_id, verify)
+                    files = store.iter_rank_files(app_id, ckpt_id)
+                    payloads, positions = _unpack(files, store, app_id)
                 except (CorruptCheckpointError, FileNotFoundError, OSError, ValueError, KeyError):
                     _WALKBACKS.inc(app=app_id)
                     continue
@@ -124,10 +121,7 @@ def _decode(header: ContextHeader, payload: bytes) -> bytes:
 
 
 def _unpack(
-    files,
-    store: DirectoryStore,
-    app_id: str,
-    verify: bool,
+    files, store: DirectoryStore, app_id: str
 ) -> tuple[dict[int, bytes], dict[int, float]]:
     """Decompress and delta-reconstruct payloads/positions per rank.
 
@@ -143,9 +137,7 @@ def _unpack(
         rank = header.rank
         body = _decode(header, payload)
         if header.delta_base is not None:
-            base_header, base_payload = store.read_rank_file(
-                app_id, header.delta_base, rank, verify=verify
-            )
+            base_header, base_payload = store.read_rank_file(app_id, header.delta_base, rank)
             if base_header.delta_base is not None:
                 raise ValueError(
                     f"delta base {header.delta_base} is itself a delta "

@@ -29,10 +29,10 @@ import ast
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .experiments import REGISTRY, run_experiment
-from .experiments.common import ExperimentResult
+if TYPE_CHECKING:
+    from .experiments.common import ExperimentResult
 
 __all__ = ["main"]
 
@@ -59,6 +59,8 @@ def _runtime_kwargs(name: str, args: argparse.Namespace) -> dict[str, object]:
     so the flags are safe to pass globally.
     """
     import inspect
+
+    from .experiments import REGISTRY
 
     accepted = inspect.signature(REGISTRY[name]).parameters
     out: dict[str, object] = {}
@@ -112,6 +114,8 @@ def _parse_overrides(pairs: list[str]) -> dict[str, object]:
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
+    from .experiments import REGISTRY
+
     for name in REGISTRY:
         slow = "  (slow)" if name in SLOW_EXPERIMENTS else ""
         print(f"{name}{slow}")
@@ -129,6 +133,8 @@ def _result_to_json(result: ExperimentResult) -> dict:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from .experiments import run_experiment
+
     kwargs = _runtime_kwargs(args.name, args)
     kwargs.update(_parse_overrides(args.override))
     result = run_experiment(args.name, **kwargs)
@@ -142,6 +148,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .experiments import REGISTRY, run_experiment
+
     sections = []
     for name in REGISTRY:
         if args.skip_slow and name in SLOW_EXPERIMENTS:
@@ -159,6 +167,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
+    from .experiments import REGISTRY, run_experiment
+
     failures = 0
     for name in REGISTRY:
         if args.skip_slow and name in SLOW_EXPERIMENTS:
@@ -434,7 +444,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
 
     p_exp = sub.add_parser("experiment", help="run one experiment")
-    p_exp.add_argument("name", choices=sorted(REGISTRY))
+    p_exp.add_argument("name", help="experiment name (see `repro list`)")
     p_exp.add_argument(
         "-o",
         "--override",
@@ -615,6 +625,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     ).set_defaults(func=_cmd_calibrate)
 
     args = parser.parse_args(argv)
+    if args.command == "experiment":
+        # Checked here, not by argparse ``choices``, so commands that run
+        # no experiment (``serve``) never import the experiment modules.
+        from .experiments import REGISTRY
+
+        if args.name not in REGISTRY:
+            p_exp.error(
+                f"argument name: invalid choice: {args.name!r} "
+                f"(choose from {', '.join(sorted(REGISTRY))})"
+            )
     try:
         return args.func(args)
     except BrokenPipeError:

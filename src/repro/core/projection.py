@@ -19,7 +19,7 @@ Three layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import daly
 from .units import GB, MINUTE, PB, TB, YEAR, gb, gb_per_s, minutes, tb_per_s
@@ -257,8 +257,3 @@ def projection_table(
         row("I/O Bandwidth", base.io_bandwidth, projected.io_bandwidth, TB, "TB/s"),
         row("System MTTI", base.system_mtti, projected.system_mtti, MINUTE, "min"),
     ]
-
-
-def with_mtti(machine: MachineSpec, mtti: float) -> MachineSpec:
-    """A copy of ``machine`` with a different system MTTI (sensitivity)."""
-    return replace(machine, system_mtti=mtti)

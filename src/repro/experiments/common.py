@@ -16,7 +16,6 @@ from ..core.configs import (
     NO_COMPRESSION,
     CompressionSpec,
     CRParameters,
-    paper_parameters,
 )
 from ..core.model import ModelResult, multilevel_ndp
 from ..core.optimizer import optimal_host
@@ -153,8 +152,3 @@ def fig6_compression(factor: float, engine: str) -> CompressionSpec:
     """
     base = NDP_GZIP1 if resolve(engine).drains else HOST_GZIP1
     return base.with_factor(factor)
-
-
-def paper_defaults() -> CRParameters:
-    """Alias for :func:`repro.core.configs.paper_parameters`."""
-    return paper_parameters()

@@ -277,11 +277,6 @@ class MetricsRegistry:
                 else:
                     self._constant_labels[name] = str(value)
 
-    def constant_labels(self) -> dict[str, str]:
-        """The registry-wide label set (a copy)."""
-        with self._lock:
-            return dict(self._constant_labels)
-
     def _merged(self, labels: dict[str, str]) -> dict[str, str]:
         with self._lock:
             const = dict(self._constant_labels)

@@ -58,17 +58,6 @@ class SharedBandwidth:
         self.bytes_moved = 0.0
         env.process(self._manager(), name="shared-bandwidth")
 
-    @property
-    def active_count(self) -> int:
-        """Number of in-flight transfers."""
-        return len(self._active)
-
-    @property
-    def rate_per_transfer(self) -> float:
-        """Current fair-share rate (capacity if idle)."""
-        n = max(len(self._active), 1)
-        return self.capacity / n
-
     def start(self, nbytes: float) -> Transfer:
         """Begin a transfer of ``nbytes``; returns its handle."""
         if nbytes < 0:

@@ -11,7 +11,7 @@ seven-app dataset the Table-2 harness consumes.
 from __future__ import annotations
 
 from .base import MiniApp
-from .calibration import CALIBRATED_PRECISION, calibrated_app
+from .calibration import CALIBRATED_PRECISION
 from .miniapps import APP_REGISTRY, make_app
 
 __all__ = ["checkpoint_chunks", "study_datasets", "rank_apps"]
@@ -78,8 +78,3 @@ def study_datasets(
         name: checkpoint_chunks(name, ranks, seed, warmup_steps, calibrated)
         for name in names
     }
-
-
-def _calibrated_factory(name: str, seed: int = 0):
-    """Factory of calibrated apps (handy for scripting)."""
-    return lambda: calibrated_app(name, seed=seed)

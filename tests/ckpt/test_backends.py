@@ -1,5 +1,7 @@
 """Storage backends: commit atomicity, retention, locks, throttling."""
 
+import json
+import threading
 import time
 
 import pytest
@@ -109,6 +111,52 @@ class TestLocalRetention:
     def test_capacity_validation(self, tmp_path):
         with pytest.raises(ValueError):
             LocalStore(tmp_path, capacity=0)
+
+
+#: name -> (a read of checkpoint 1 as {rank: (header, payload)}, the ranks it returns)
+READERS = {
+    "read_checkpoint": (lambda store: store.read_checkpoint("app", 1), (0, 1)),
+    "read_rank_file": (lambda store: {1: store.read_rank_file("app", 1, 1)}, (1,)),
+}
+
+
+class TestReadOutsideTheLock:
+    @pytest.mark.parametrize("reader_name", READERS)
+    def test_commit_lands_while_a_read_is_blocked(self, tmp_path, data, monkeypatch, reader_name):
+        read_ranks, ranks = READERS[reader_name]
+        store = LocalStore(tmp_path, capacity=4)
+        store.write_checkpoint("app", 1, files(data, 1))
+        for rank, (header, payload) in files(data, 2).items():
+            store.stage_rank_file("app", 2, rank, header, payload)
+        reading, release = threading.Event(), threading.Event()
+        read = backends.read_context_file
+
+        def blocked_read(path, verify=True):
+            reading.set()
+            release.wait(10)
+            return read(path, verify=verify)
+
+        monkeypatch.setattr(backends, "read_context_file", blocked_read)
+        got = {}
+        reader = threading.Thread(target=lambda: got.update(read_ranks(store)))
+        committer = threading.Thread(target=store.commit_checkpoint, args=("app", 2))
+        reader.start()
+        try:
+            assert reading.wait(10)
+            committer.start()
+            committer.join(2.0)
+            assert not committer.is_alive(), "commit waited for the reader"
+            assert reader.is_alive()
+        finally:
+            release.set()
+            reader.join(10)
+            if committer.ident is not None:
+                committer.join(10)
+        assert not reader.is_alive() and not committer.is_alive()
+        assert {r: p for r, (_, p) in got.items()} == {r: data[r] for r in ranks}
+        assert [(h.rank, h.ckpt_id) for h, _ in got.values()] == [(r, 1) for r in ranks]
+        manifest = json.loads((tmp_path / "app" / backends._MANIFEST).read_text())
+        assert manifest == {"committed": [1, 2], "locked": []}
 
 
 class TestPartnerRetention:

@@ -1,5 +1,7 @@
 """The multilevel checkpointer orchestrator (host and NDP modes)."""
 
+import time
+
 import pytest
 
 from repro.ckpt.backends import IOStore, LocalStore, PartnerStore
@@ -137,3 +139,34 @@ class TestNumbering:
         cr = MultilevelCheckpointer("app", local, io, mode="host")
         with pytest.raises(ValueError):
             cr.checkpoint({})
+
+
+class TestClose:
+    def test_unstarted_daemon_fails_the_flush_at_once(self, stores, small_blob):
+        local, io = stores
+        cr = MultilevelCheckpointer("app", local, io, mode="ndp")
+        cr.checkpoint({0: small_blob})
+        t0 = time.monotonic()
+        assert cr.close(timeout=3.0) is False
+        assert time.monotonic() - t0 < 1.0
+        assert io.committed("app") == []
+
+    def test_started_daemon_flushes_to_io(self, stores, small_blob):
+        local, io = stores
+        cr = MultilevelCheckpointer("app", local, io, mode="ndp").start()
+        cr.checkpoint({0: small_blob})
+        assert cr.close(timeout=30.0) is True
+        assert io.committed("app") == [1]
+
+    def test_no_flush_requested(self, stores, small_blob):
+        local, io = stores
+        cr = MultilevelCheckpointer("app", local, io, mode="ndp")
+        cr.checkpoint({0: small_blob})
+        assert cr.close(flush=False) is True
+        assert MultilevelCheckpointer("app", local, io, mode="host").close() is True
+
+    def test_exit_does_not_swallow_exceptions(self, stores):
+        local, io = stores
+        with pytest.raises(KeyError):
+            with MultilevelCheckpointer("app", local, io, mode="ndp"):
+                raise KeyError("from the with block")

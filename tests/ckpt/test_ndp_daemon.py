@@ -32,7 +32,7 @@ class TestDraining:
     def test_drains_committed_checkpoint(self, stores, small_blob):
         local, io = stores
         put(local, 1, {0: small_blob})
-        with NDPDrainDaemon("app", local, io, poll_interval=0.002) as d:
+        with NDPDrainDaemon("app", local, io) as d:
             assert d.wait_idle(10)
         assert io.committed("app") == [1]
         assert io.read_checkpoint("app", 1)[0][1] == small_blob
@@ -40,7 +40,7 @@ class TestDraining:
     def test_compressed_drain_and_codec_header(self, stores, small_blob):
         local, io = stores
         put(local, 1, {0: small_blob})
-        with NDPDrainDaemon("app", local, io, codec=GZIP, block_size=4096, poll_interval=0.002) as d:
+        with NDPDrainDaemon("app", local, io, codec=GZIP, block_size=4096) as d:
             assert d.wait_idle(10)
         header, payload = io.read_checkpoint("app", 1)[0]
         assert header.codec == "gzip(1)"
@@ -53,7 +53,7 @@ class TestDraining:
         # the newest and skip the older two.
         for cid in (1, 2, 3):
             put(local, cid, {0: small_blob})
-        with NDPDrainDaemon("app", local, io, poll_interval=0.002) as d:
+        with NDPDrainDaemon("app", local, io) as d:
             assert d.wait_idle(10)
         assert io.committed("app") == [3]
         assert d.stats.checkpoints_drained == 1
@@ -61,7 +61,7 @@ class TestDraining:
     def test_stats_factor(self, stores):
         local, io = stores
         put(local, 1, {0: bytes(100_000)})  # highly compressible
-        with NDPDrainDaemon("app", local, io, codec=GZIP, poll_interval=0.002) as d:
+        with NDPDrainDaemon("app", local, io, codec=GZIP) as d:
             assert d.wait_idle(10)
         assert d.stats.achieved_factor > 0.9
         assert d.stats.bytes_in == 100_000
@@ -69,14 +69,14 @@ class TestDraining:
     def test_multiple_ranks_all_drained(self, stores, small_blob):
         local, io = stores
         put(local, 1, {0: small_blob, 1: small_blob[::-1], 2: bytes(1000)})
-        with NDPDrainDaemon("app", local, io, poll_interval=0.002) as d:
+        with NDPDrainDaemon("app", local, io) as d:
             assert d.wait_idle(10)
         assert set(io.read_checkpoint("app", 1)) == {0, 1, 2}
 
     def test_unlocks_after_drain(self, stores, small_blob):
         local, io = stores
         put(local, 1, {0: small_blob})
-        with NDPDrainDaemon("app", local, io, poll_interval=0.002) as d:
+        with NDPDrainDaemon("app", local, io) as d:
             assert d.wait_idle(10)
         assert local.locked("app") == []
 
@@ -98,9 +98,7 @@ class TestCodecFailure:
             return GZIP.compress(data)
 
         codec = Codec("gzip", 1, flaky, GZIP.decompress)
-        d = NDPDrainDaemon(
-            "app", local, io, codec=codec, block_size=4096, poll_interval=0.002
-        ).start()
+        d = NDPDrainDaemon("app", local, io, codec=codec, block_size=4096).start()
         try:
             put(local, 1, {0: small_blob})
             assert d.wait_idle(10)
@@ -130,7 +128,7 @@ class TestCodecFailure:
             raise OSError("retention failed")
 
         monkeypatch.setattr(io, "_post_commit", broken)
-        d = NDPDrainDaemon("app", local, io, poll_interval=0.002)
+        d = NDPDrainDaemon("app", local, io)
         with pytest.raises(OSError, match="retention failed"):
             d._drain_one(1)
         assert io.committed("app") == [1]
@@ -159,7 +157,7 @@ class TestWriterThread:
     def test_drains_share_one_writer_that_stop_ends(self, stores, small_blob, monkeypatch):
         local, io = stores
         threads = record_writers(io, monkeypatch)
-        d = NDPDrainDaemon("app", local, io, codec=GZIP, poll_interval=0.002).start()
+        d = NDPDrainDaemon("app", local, io, codec=GZIP).start()
         try:
             for cid in (1, 2, 3):
                 put(local, cid, {0: small_blob, 1: small_blob[::-1]})
@@ -203,9 +201,7 @@ class TestWriterThread:
             return GZIP.compress(data)
 
         codec = Codec("gzip", 1, flaky, GZIP.decompress)
-        d = NDPDrainDaemon(
-            "app", local, io, codec=codec, block_size=block, poll_interval=0.002
-        ).start()
+        d = NDPDrainDaemon("app", local, io, codec=codec, block_size=block).start()
         second = {0: small_blob[::-1], 1: small_blob}
         try:
             put(local, 1, {0: small_blob, 1: small_blob})
@@ -236,8 +232,7 @@ class TestBackpressure:
         blob = np.random.default_rng(0).integers(0, 256, 262_144, np.uint8).tobytes()
         put(local, 1, {0: blob})
         with NDPDrainDaemon(
-            "app", local, io, codec=GZIP, block_size=65536,
-            queue_depth=1, poll_interval=0.002,
+            "app", local, io, codec=GZIP, block_size=65536, queue_depth=1
         ) as d:
             assert d.wait_idle(60)
         stats = d.stats
@@ -248,7 +243,7 @@ class TestBackpressure:
     def test_stage_accounting_consistent(self, stores, small_blob):
         local, io = stores
         put(local, 1, {0: small_blob})
-        with NDPDrainDaemon("app", local, io, codec=GZIP, poll_interval=0.002) as d:
+        with NDPDrainDaemon("app", local, io, codec=GZIP) as d:
             assert d.wait_idle(10)
         stats = d.stats
         # The end-to-end drain stage is charged uncompressed bytes.
@@ -268,9 +263,7 @@ class TestBackpressure:
 
         codec = Codec("gzip", 1, slow, GZIP.decompress)
         put(local, 1, {0: small_blob})
-        with NDPDrainDaemon(
-            "app", local, io, codec=codec, block_size=8192, poll_interval=0.002
-        ) as d:
+        with NDPDrainDaemon("app", local, io, codec=codec, block_size=8192) as d:
             assert d.wait_idle(10)
         stats = d.stats
         assert stats.checkpoints_drained == 1
@@ -281,7 +274,7 @@ class TestBackpressure:
 class TestPauseResume:
     def test_paused_daemon_does_not_drain(self, stores, small_blob):
         local, io = stores
-        d = NDPDrainDaemon("app", local, io, poll_interval=0.002).start()
+        d = NDPDrainDaemon("app", local, io).start()
         d.pause()
         put(local, 1, {0: small_blob})
         time.sleep(0.1)
@@ -309,7 +302,7 @@ class TestLifecycle:
 
     def test_restartable_after_stop(self, stores, small_blob):
         local, io = stores
-        d = NDPDrainDaemon("app", local, io, poll_interval=0.002)
+        d = NDPDrainDaemon("app", local, io)
         d.start()
         d.stop()
         put(local, 1, {0: small_blob})

@@ -1,8 +1,32 @@
 """The command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+
+def test_import_loads_no_experiment_or_workload_module():
+    # `repro serve` imports the CLI module; the experiments (and, through
+    # them, the workloads) load only in the subcommands that run them.
+    code = (
+        "import repro.cli, sys; "
+        "print([m for m in ('repro.experiments', 'repro.workloads') if m in sys.modules])"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 class TestList:
